@@ -1,8 +1,11 @@
-"""Strong-sweep scaling experiment on a random 20-node binary network.
+"""Scaling of the paper's per-rank strong sweep on a random 20-node binary network.
 
-The sweep enumerates all joint assignments to the focus set R, so wall time
-should roughly double per added binary variable once |R| dominates the
-fixed per-query cost.  Writes a JSON report next to printing the table.
+The sweep (``mapindep.cli.bench``) runs one elimination per joint
+assignment to the focus set R, the candidate joints of that assignment's
+MAP problem, so wall time should roughly double per added
+binary variable once |R| dominates the fixed per-query cost.  It times that
+algorithm, not the query engine, which answers a strong query from one
+table.  Writes a JSON report next to printing the table.
 """
 
 from __future__ import annotations

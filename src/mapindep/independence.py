@@ -2,42 +2,39 @@
 
 A hypothesis H is MAP-independent from a focus set R given evidence e when
 the most probable joint value assignment to H stays the same no matter
-which value R would have been observed to take.  The strong decider sweeps
+which value R would have been observed to take.  The strong decider checks
 every joint assignment to R; the weak decider checks each focus variable
 on its own; the maximum search looks for a largest subset of a candidate
 pool from which H is strongly independent.
 
-All sweeps anchor to the reference explanation h* = argmax_H Pr(H, e)
-(with R marginalized out), enumerate Omega(R) in canonical row-major
-order, and report the first differing assignment as the counterexample.
-Zero-probability (r, e) combinations cannot be observed, so by default
-they are skipped and listed in the report; ``strict_zeros`` turns them
-into an InfeasibleQueryError instead.
+Every decider is a reduction over one table Pr(H, S, e) built by
+``inference.joint_table``, where S is the focus set, a single focus
+variable or a candidate subset.  Each column (one assignment s) yields its
+first maximiser, a tie flag, its total Pr(s, e) and the entry of the
+reference explanation h* = argmax_H Pr(H, e) (with R marginalized out);
+the columns are then folded in canonical row-major order, and the first
+differing assignment is the counterexample.  Zero-probability (s, e)
+combinations cannot be observed, so by default they are skipped and
+listed in the report; ``strict_zeros`` turns them into an
+InfeasibleQueryError instead.
 
-Sweeps may be split across worker threads.  Workers report per-rank
-results and the coordinator folds them back in rank order, so verdicts,
-counterexamples and quantification sums are byte-identical to a
-sequential run.
+The ``workers`` keyword is accepted for compatibility and ignored: a query
+is one elimination, so there is no sweep to split.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError
-from .inference import (
-    DEFAULT_GUARD,
-    DEFAULT_TIE_TOL,
-    candidate_joints,
-    map_solve,
-    marginal,
-)
+from .inference import DEFAULT_GUARD, DEFAULT_TIE_TOL, joint_table, map_solve, marginal
 from .model import (
     Assignment,
     Network,
@@ -109,88 +106,7 @@ class RelevancePartition:
 
 
 # ---------------------------------------------------------------------------
-# the shared sweep machinery
-
-_ZERO = -1  # argmax marker for a zero-probability (r, e) combination
-
-
-@dataclass(frozen=True)
-class _Rank:
-    rank: int
-    argmax: int          # candidate rank of the per-r MAP, or _ZERO
-    tie: bool
-    h_star_joint: float  # Pr(h*, r, e)
-    total: float         # Pr(r, e)
-
-
-def _scan_chunk(
-    net: Network,
-    hypothesis: tuple[str, ...],
-    evidence: Assignment,
-    focus: tuple[str, ...],
-    h_star_idx: int,
-    lo: int,
-    hi: int,
-    tie_tol: float,
-    stop_early: bool,
-    strict_zeros: bool,
-) -> list[_Rank]:
-    """Evaluate ranks [lo, hi); may stop at a terminal event within the chunk."""
-    out: list[_Rank] = []
-    for rank in range(lo, hi):
-        context = dict(evidence)
-        context.update(assignment_at(net, focus, rank))
-        joints = candidate_joints(net, hypothesis, context)
-        total = sum(joints)
-        if total == 0.0:
-            out.append(_Rank(rank, _ZERO, False, 0.0, 0.0))
-            if strict_zeros:
-                break
-            continue
-        best = 0
-        for i, p in enumerate(joints):
-            if p > joints[best]:
-                best = i
-        tie = any(i != best and joints[best] - p <= tie_tol for i, p in enumerate(joints))
-        out.append(_Rank(rank, best, tie, joints[h_star_idx], total))
-        if stop_early and best != h_star_idx:
-            break
-    return out
-
-
-def _scan(
-    net: Network,
-    hypothesis: tuple[str, ...],
-    evidence: Assignment,
-    focus: tuple[str, ...],
-    h_star_idx: int,
-    total_ranks: int,
-    tie_tol: float,
-    stop_early: bool,
-    strict_zeros: bool,
-    workers: int,
-) -> Iterator[_Rank]:
-    if workers <= 1 or total_ranks <= 1:
-        # A single chunk already stops at terminal events, so this IS the
-        # plain sequential loop.
-        return iter(_scan_chunk(
-            net, hypothesis, evidence, focus, h_star_idx,
-            0, total_ranks, tie_tol, stop_early, strict_zeros,
-        ))
-
-    bounds = [total_ranks * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _scan_chunk,
-                net, hypothesis, evidence, focus, h_star_idx,
-                bounds[i], bounds[i + 1], tie_tol, stop_early, strict_zeros,
-            )
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        chunks = [f.result() for f in futures]
-    return iter([rec for chunk in chunks for rec in chunk])
+# reductions over the table Pr(H, S, e)
 
 
 @dataclass
@@ -212,20 +128,47 @@ def _hamming(net: Network, hypothesis: tuple[str, ...], a_idx: int, b_idx: int) 
     return sum(1 for v in hypothesis if a[v] != b[v])
 
 
+def _columns(
+    net: Network,
+    hypothesis: tuple[str, ...],
+    evidence: Assignment,
+    focus: tuple[str, ...],
+    h_star_idx: int,
+    tie_tol: float,
+    guard: int,
+) -> Iterator[tuple[int, bool, float, float]]:
+    """Per-column reductions of Pr(H, S, e) over S = ``focus``, in canonical rank order.
+
+    Each column yields its first maximiser, whether another candidate lies
+    within ``tie_tol`` of it, Pr(h*, s, e) and the column total Pr(s, e).
+    """
+    ranks = _guarded_count(net, focus, guard)
+    cells = assignment_count(net, hypothesis) * ranks
+    if cells > guard:
+        raise CapacityError(f"|Omega(H)| * |Omega(S)| = {cells} exceeds guard {guard}")
+    table = joint_table(net, hypothesis + focus, evidence, guard=guard).reshape(-1, ranks)
+    argmax = table.argmax(axis=0)
+    near = table.max(axis=0) - table <= tie_tol
+    near[argmax, np.arange(ranks)] = False
+    return zip(
+        argmax.tolist(), near.any(axis=0).tolist(), table[h_star_idx].tolist(), table.sum(axis=0).tolist()
+    )
+
+
 def _fold_records(
     net: Network,
     hypothesis: tuple[str, ...],
     focus: tuple[str, ...],
     h_star_idx: int,
-    records: Iterable[_Rank],
+    columns: Iterable[tuple[int, bool, float, float]],
     table_limit: int | None,
     strict_zeros: bool,
     stop_early: bool,
 ) -> _Fold:
     fold = _Fold()
-    for rec in records:
-        r = assignment_at(net, focus, rec.rank)
-        if rec.argmax == _ZERO:
+    for rank, (best, tie, h_star_joint, total) in enumerate(columns):
+        r = assignment_at(net, focus, rank)
+        if total == 0.0:
             if strict_zeros:
                 raise InfeasibleQueryError(
                     f"conditioning assignment {r!r} has probability zero under the evidence"
@@ -233,20 +176,20 @@ def _fold_records(
             fold.skipped.append(r)
             fold.unchanged += 1  # vacuously: an impossible r cannot move the MAP
             continue
-        fold.ties = fold.ties or rec.tie
-        if fold.min_joint is None or rec.h_star_joint < fold.min_joint:
-            fold.min_joint = rec.h_star_joint
-        changed = rec.argmax != h_star_idx
+        fold.ties = fold.ties or tie
+        if fold.min_joint is None or h_star_joint < fold.min_joint:
+            fold.min_joint = h_star_joint
+        changed = best != h_star_idx
         if changed and fold.counterexample is None:
             fold.counterexample = r
             fold.verdict = False
         if not changed:
             fold.unchanged += 1
-            fold.mass_num += rec.total
+            fold.mass_num += total
         else:
-            fold.hamming_sum += _hamming(net, hypothesis, rec.argmax, h_star_idx)
+            fold.hamming_sum += _hamming(net, hypothesis, best, h_star_idx)
         if table_limit is not None and len(fold.rows) < table_limit:
-            fold.rows.append(SweepRow(r, assignment_at(net, hypothesis, rec.argmax), rec.h_star_joint))
+            fold.rows.append(SweepRow(r, assignment_at(net, hypothesis, best), h_star_joint))
         if stop_early and changed:
             break
     return fold
@@ -268,7 +211,6 @@ def _sweep_report(
     *,
     tie_tol: float,
     guard: int,
-    workers: int,
     table_limit: int | None,
     strict_zeros: bool,
     short_circuit: bool,
@@ -280,19 +222,16 @@ def _sweep_report(
         raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
     reference = map_solve(net, hypothesis, evidence, tie_tol=tie_tol, guard=guard)
     h_star_idx = assignment_rank(net, hypothesis, reference.assignment)
-    total = _guarded_count(net, focus, guard)
 
     stop_early = short_circuit and not with_metrics and table_limit is None
-    records = _scan(
-        net, hypothesis, evidence, focus, h_star_idx, total,
-        tie_tol, stop_early, strict_zeros, workers,
-    )
+    columns = _columns(net, hypothesis, evidence, focus, h_star_idx, tie_tol, guard)
     fold = _fold_records(
-        net, hypothesis, focus, h_star_idx, records, table_limit, strict_zeros, stop_early,
+        net, hypothesis, focus, h_star_idx, columns, table_limit, strict_zeros, stop_early,
     )
 
     metrics = None
     if with_metrics:
+        total = assignment_count(net, focus)
         metrics = Quantification(
             mass=fold.mass_num / p_e,
             proportion=fold.unchanged / total,
@@ -332,9 +271,9 @@ def strong_map_independence(
 ) -> IndependenceReport:
     """Is the MAP of the hypothesis the same for every joint assignment to the focus?
 
-    Sweeps Omega(R) in canonical order comparing each conditional MAP to the
-    reference explanation; stops at the first counterexample unless a table
-    or metrics were requested.
+    Reduces one table Pr(H, R, e), comparing each column's MAP to the
+    reference explanation in canonical order; stops at the first
+    counterexample unless a table or metrics were requested.
     """
     started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
@@ -342,7 +281,7 @@ def strong_map_independence(
         raise InvalidQueryError("focus set must be non-empty")
     return _sweep_report(
         net, "strong", hypothesis, evidence, focus,
-        tie_tol=tie_tol, guard=guard, workers=workers, table_limit=table_limit,
+        tie_tol=tie_tol, guard=guard, table_limit=table_limit,
         strict_zeros=strict_zeros, short_circuit=short_circuit,
         with_metrics=with_metrics, started=started,
     )
@@ -361,7 +300,8 @@ def weak_map_independence(
 ) -> IndependenceReport:
     """Strong MAP-independence checked per focus variable, one at a time.
 
-    At most the sum of the focus cardinalities MAP computations; interaction
+    One table Pr(H, R_i, e) per focus variable, so the work grows with the
+    sum of the focus cardinalities rather than their product; interaction
     effects between focus variables are deliberately not visible here.
     """
     started = time.perf_counter()
@@ -381,14 +321,10 @@ def weak_map_independence(
     rows: list[SweepRow] = []
     for var in focus:
         single = (var,)
-        total = _guarded_count(net, single, guard)
         stop_early = short_circuit and table_limit is None
-        records = _scan(
-            net, hypothesis, evidence, single, h_star_idx, total,
-            tie_tol, stop_early, strict_zeros, workers,
-        )
+        columns = _columns(net, hypothesis, evidence, single, h_star_idx, tie_tol, guard)
         fold = _fold_records(
-            net, hypothesis, single, h_star_idx, records, table_limit, strict_zeros, stop_early,
+            net, hypothesis, single, h_star_idx, columns, table_limit, strict_zeros, stop_early,
         )
         ties = ties or fold.ties
         skipped.extend(fold.skipped)
@@ -431,7 +367,8 @@ def maximum_map_independence(
     hit is greedily extended to a maximal qualifying set.  Known-failing
     subsets prune their supersets.  Both the extension and the pruning rely
     on downward closure, which ties can break, so they are disabled as soon
-    as a tie is encountered.
+    as a tie is encountered.  Each evaluated subset S is one table
+    Pr(H, S, e).
     """
     started = time.perf_counter()
     hypothesis, evidence, pool = resolve_partition(net, partition)
@@ -456,12 +393,8 @@ def maximum_map_independence(
 
     def independent(subset: tuple[str, ...]) -> bool:
         nonlocal ties
-        total = _guarded_count(net, subset, guard)
-        records = _scan(
-            net, hypothesis, evidence, subset, h_star_idx, total,
-            tie_tol, True, strict_zeros, workers,
-        )
-        fold = _fold_records(net, hypothesis, subset, h_star_idx, records, None, strict_zeros, True)
+        columns = _columns(net, hypothesis, evidence, subset, h_star_idx, tie_tol, guard)
+        fold = _fold_records(net, hypothesis, subset, h_star_idx, columns, None, strict_zeros, True)
         ties = ties or fold.ties
         if not fold.verdict:
             failing.append(frozenset(subset))
@@ -511,9 +444,9 @@ def threshold_map_independence(
     """Does Pr(h_star, r, e) strictly exceed ``s`` for every r over the focus?
 
     The supplied ``h_star`` is taken at face value (it need not be the true
-    MAP).  The sweep always covers all of Omega(R) so the reported minimum
-    joint probability is exact; zero-probability assignments simply fail
-    the strict comparison.
+    MAP).  One table Pr(h_star, R, e) covers all of Omega(R), so the
+    reported minimum joint probability is exact; zero-probability
+    assignments simply fail the strict comparison.
     """
     started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
@@ -527,34 +460,14 @@ def threshold_map_independence(
     if evidence and marginal(net, evidence) == 0.0:
         raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
 
-    total = _guarded_count(net, focus, guard)
-
-    def chunk(lo: int, hi: int) -> list[tuple[int, float]]:
-        out = []
-        for rank in range(lo, hi):
-            context = dict(evidence)
-            context.update(assignment_at(net, focus, rank))
-            context.update(h_star)
-            out.append((rank, marginal(net, context)))
-        return out
-
-    if workers <= 1 or total <= 1:
-        pairs = chunk(0, total)
-    else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(chunk, bounds[i], bounds[i + 1])
-                for i in range(workers)
-                if bounds[i] < bounds[i + 1]
-            ]
-            pairs = [p for f in futures for p in f.result()]
+    _guarded_count(net, focus, guard)
+    joints = joint_table(net, focus, {**evidence, **h_star}, guard=guard).ravel().tolist()
 
     verdict = True
     counterexample = None
     min_joint = None
     rows: list[SweepRow] = []
-    for rank, p in pairs:
+    for rank, p in enumerate(joints):
         if min_joint is None or p < min_joint:
             min_joint = p
         if verdict and not p > s:  # strict comparison, exact for Fraction thresholds
@@ -585,7 +498,7 @@ def quantify(
     """Quantified MAP-independence of the focus set: mass, proportion, mean Hamming."""
     report = strong_map_independence(
         net, partition,
-        tie_tol=tie_tol, guard=guard, workers=workers,
+        tie_tol=tie_tol, guard=guard,
         strict_zeros=strict_zeros, short_circuit=False, with_metrics=True,
     )
     return report.metrics
@@ -631,12 +544,8 @@ def relevance_partition(
     justification: dict[str, SingletonFinding] = {}
     for var in cands:
         single = (var,)
-        total = _guarded_count(net, single, guard)
-        records = _scan(
-            net, hyp, evidence, single, h_star_idx, total,
-            tie_tol, True, strict_zeros, 1,
-        )
-        fold = _fold_records(net, hyp, single, h_star_idx, records, None, strict_zeros, True)
+        columns = _columns(net, hyp, evidence, single, h_star_idx, tie_tol, guard)
+        fold = _fold_records(net, hyp, single, h_star_idx, columns, None, strict_zeros, True)
         justification[var] = SingletonFinding(fold.verdict, fold.counterexample)
         (irrelevant if fold.verdict else relevant).append(var)
     return RelevancePartition(tuple(relevant), tuple(irrelevant), justification)

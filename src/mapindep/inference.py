@@ -1,11 +1,15 @@
 """Exact inference: joint, marginal and posterior probabilities plus the MAP solver.
 
-Two routes compute marginals.  The default is sum-product variable
-elimination over dense factors with a min-fill elimination order; the
-second enumerates completions of the query assignment and is kept as a
-deliberately simple cross-check (``method="brute"``).  Both are exact up
-to floating point and agree within 1e-9 on the network sizes this package
-targets.
+Every query in the package rests on one primitive, ``joint_table``: a
+sum-product variable elimination over dense factors that sums out each
+variable that is neither observed nor kept, along a min-fill order, and
+returns Pr(keep, partial) as an array with one axis per kept variable
+(bucket elimination with the query variables left free).  A marginal is
+the table over no variables; the MAP solver takes the first maximiser of
+the table over the hypothesis.  A second route enumerates completions of
+the query assignment and is kept as a deliberately simple cross-check
+(``method="brute"``).  Both are exact up to floating point and agree
+within 1e-9 on the network sizes this package targets.
 
 Arithmetic is plain double precision.  If a joint-probability product
 underflows (all entries positive but the running product drops below
@@ -31,6 +35,7 @@ from .model import (
     canonical_vars,
     check_assignment,
     min_fill_order,
+    ordered_vars,
 )
 
 DEFAULT_TIE_TOL = 1e-9
@@ -110,9 +115,26 @@ def _sum_out(f: Factor, var: str) -> Factor:
     return Factor(f.scope[:axis] + f.scope[axis + 1:], f.values.sum(axis=axis))
 
 
-def _ve_marginal(net: Network, partial: Mapping[str, str]) -> float:
-    """Pr(partial) by sum-product elimination of every unassigned variable."""
+def joint_table(
+    net: Network,
+    keep: tuple[str, ...],
+    partial: Mapping[str, str],
+    *,
+    guard: int | None = None,
+) -> np.ndarray:
+    """Pr(keep, partial) as an array with one axis per kept variable, in the order given.
+
+    Each variable that is neither kept nor assigned in ``partial`` is summed
+    out along a min-fill order over those variables alone.  An empty
+    ``keep`` gives a 0-d array holding Pr(partial).  Kept variables stay in
+    every bucket they touch, so a product can outgrow the final table; with
+    a ``guard``, a product of more than ``guard`` entries raises
+    CapacityError before it is allocated.
+    """
+    keep = ordered_vars(net, keep)
     observed = {var: net.state_index(var, state) for var, state in partial.items()}
+    if set(keep) & set(observed):
+        raise InvalidQueryError("kept variables must not be assigned")
     factors: list[Factor] = []
     for f in _base_factors(net):
         for var in f.scope:
@@ -120,28 +142,31 @@ def _ve_marginal(net: Network, partial: Mapping[str, str]) -> float:
                 f = _restrict(f, var, observed[var])
         factors.append(f)
 
-    hidden = [v for v in net.names if v not in observed]
+    hidden = [v for v in net.names if v not in observed and v not in keep]
     adjacency: dict[str, set[str]] = {v: set() for v in hidden}
     for f in factors:
         for a in f.scope:
-            for b in f.scope:
-                if a != b:
-                    adjacency[a].add(b)
+            if a in adjacency:
+                adjacency[a].update(b for b in f.scope if b != a and b in adjacency)
     priority = {name: i for i, name in enumerate(net.names)}
     order, _ = min_fill_order(adjacency, priority)
 
     for var in order:
         bucket = [f for f in factors if var in f.scope]
         factors = [f for f in factors if var not in f.scope]
-        product = bucket[0]
-        for f in bucket[1:]:
-            product = _multiply(product, f)
-        factors.append(_sum_out(product, var))
+        factors.append(_sum_out(_product(net, bucket, guard), var))
+    return _expand(_product(net, [Factor((), np.array(1.0)), *factors], guard), keep)
 
-    result = 1.0
-    for f in factors:
-        result *= float(f.values)
-    return result
+
+def _product(net: Network, factors: list[Factor], guard: int | None) -> Factor:
+    if guard is not None and len(factors) > 1:
+        size = math.prod(net.cardinality(v) for v in {v for f in factors for v in f.scope})
+        if size > guard:
+            raise CapacityError(f"elimination factor of {size} entries exceeds guard {guard}")
+    product = factors[0]
+    for f in factors[1:]:
+        product = _multiply(product, f)
+    return product
 
 
 def _brute_marginal(net: Network, partial: Mapping[str, str]) -> float:
@@ -187,7 +212,7 @@ def marginal(net: Network, partial: Mapping[str, str], method: str = "ve") -> fl
     """Pr(partial), the probability of a (possibly empty) partial assignment."""
     check_assignment(net, partial)
     if method == "ve":
-        return _ve_marginal(net, partial)
+        return float(joint_table(net, (), partial))
     if method == "brute":
         return _brute_marginal(net, partial)
     raise InvalidQueryError(f"unknown inference method {method!r}")
@@ -208,8 +233,15 @@ def candidate_joints(
     hypothesis: tuple[str, ...],
     context: Mapping[str, str],
     method: str = "ve",
+    *,
+    guard: int | None = None,
 ) -> list[float]:
-    """Pr(h, context) for every h over ``hypothesis``, in canonical rank order."""
+    """Pr(h, context) for every h over ``hypothesis``, in canonical rank order.
+
+    ``guard`` bounds the factors of the ``"ve"`` table (see ``joint_table``).
+    """
+    if method == "ve":
+        return joint_table(net, hypothesis, context, guard=guard).ravel().tolist()
     count = assignment_count(net, hypothesis)
     return [
         marginal(net, {**context, **assignment_at(net, hypothesis, rank)}, method)
@@ -229,10 +261,11 @@ def map_solve(
 ) -> MapResult:
     """Most probable joint value assignment to ``hypothesis`` given the context.
 
-    Candidates are enumerated in canonical row-major order with one marginal
-    per candidate; the first maximizer wins, and a second candidate within
-    ``tie_tol`` of the maximum raises the ``tie`` flag.  The context is the
-    union of evidence and any extra conditioning assignment.
+    The candidates' joints Pr(h, context) come from one table over the
+    hypothesis, in canonical row-major order; the first maximizer wins, and
+    a second candidate within ``tie_tol`` of the maximum raises the ``tie``
+    flag.  The context is the union of evidence and any extra conditioning
+    assignment; its probability is the table's total.
     """
     evidence = dict(evidence or {})
     conditioning = dict(conditioning or {})
@@ -250,11 +283,11 @@ def map_solve(
     count = assignment_count(net, hyp)
     if count > guard:
         raise CapacityError(f"|Omega(H)| = {count} exceeds guard {guard}")
-    p_context = marginal(net, context, method)
+    joints = candidate_joints(net, hyp, context, method, guard=guard)
+    p_context = sum(joints)
     if p_context == 0.0:
         raise InfeasibleQueryError(f"conditioning context {context!r} has probability zero")
 
-    joints = candidate_joints(net, hyp, context, method)
     best_idx = 0
     for i, p in enumerate(joints):
         if p > joints[best_idx]:

@@ -259,6 +259,18 @@ def test_query_table_limit(tmp_path):
     assert len(read_report(out)["result"]["per_assignment"]) == 3
 
 
+def test_query_negative_table_limit_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    query = write_query(tmp_path, "q.json", {
+        "mode": "strong", "hypothesis": ["A"], "evidence": {"C": "T"}, "focus": ["B", "E"],
+    })
+    assert run([
+        "query", "--network", FIG1B, "--query", query, "--output", str(out), "--table-limit", "-3",
+    ]) == EXIT_USAGE
+    assert "--table-limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # compile
 
@@ -326,6 +338,12 @@ def test_bench_truncates_at_guard():
     table = bench(net, [net.names[0]], {}, r_max=5, trials=1, guard=8)
     assert [row["r_size"] for row in table["rows"]] == [1, 2, 3]
     assert table["truncated"] is not None
+
+
+def test_bench_truncates_oversized_hypothesis(fig1b):
+    table = bench(fig1b, ["A", "B"], {"C": "T"}, r_max=1, trials=1, guard=3)
+    assert table["rows"] == []
+    assert table["truncated"].startswith("stopped at |R|=1: |Omega(H)| = 4")
 
 
 def test_bench_subcommand(tmp_path):

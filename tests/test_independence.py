@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mapindep import independence, inference
 from mapindep.errors import CapacityError, InfeasibleQueryError, InvalidQueryError
 from mapindep.independence import (
     maximum_map_independence,
@@ -16,6 +17,8 @@ from mapindep.independence import (
 from mapindep.model import Cpt, Network, QueryPartition, Variable, d_separated
 from netgen import random_binary_network, random_partition
 from oracles import brute_strong
+
+JOINT_TABLE = inference.joint_table
 
 TF = ("T", "F")
 
@@ -74,6 +77,34 @@ def test_strong_requires_focus(fig1b):
 def test_strong_guard(fig1b):
     with pytest.raises(CapacityError):
         strong_map_independence(fig1b, part({}, ("A",), ("B", "C", "E")), guard=7)
+
+
+def test_strong_guard_bounds_the_table():
+    # |Omega(H)| = 4 and |Omega(R)| = 8 each pass guard 16; their 32-cell table does not.
+    net = random_binary_network(random.Random(5), 6)
+    names = net.names
+    p = part({}, names[:2], names[2:5])
+    with pytest.raises(CapacityError):
+        strong_map_independence(net, p, guard=16)
+    assert strong_map_independence(net, p, guard=32).witness
+
+
+def test_strong_guard_bounds_intermediate_factors():
+    # Five roots feed one child C: the (H, R) table has 4 cells, but every
+    # elimination of C or a root builds a product that keeps H and R.
+    roots = ("H", "R", "Y1", "Y2", "Y3")
+    net = Network(
+        "wide",
+        tuple(Variable(v, TF) for v in (*roots, "C")),
+        (
+            *(Cpt(v, (), ((0.6, 0.4),)) for v in roots),
+            Cpt("C", roots, tuple((0.9, 0.1) if i % 3 else (0.2, 0.8) for i in range(32))),
+        ),
+    )
+    p = part({}, ("H",), ("R",))
+    with pytest.raises(CapacityError):
+        strong_map_independence(net, p, guard=16)
+    assert strong_map_independence(net, p, guard=64).verdict
 
 
 def test_strong_zero_probability_focus_assignments_skipped():
@@ -350,6 +381,59 @@ def test_relevance_modes_coincide(fig1a):
     assert weak == strong
     with pytest.raises(InvalidQueryError):
         relevance_partition(fig1a, {"C": "T"}, ("A",), ("B",), mode="pairwise")
+
+
+# ---------------------------------------------------------------------------
+# one table per query
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Kept variables of every table built, in call order, from both modules."""
+    built = []
+
+    def counting(net, keep, partial, **kwargs):
+        built.append(tuple(keep))
+        return JOINT_TABLE(net, keep, partial, **kwargs)
+
+    monkeypatch.setattr(inference, "joint_table", counting)
+    monkeypatch.setattr(independence, "joint_table", counting)
+    return built
+
+
+# Each decider first builds Pr(e) (keep ()) and the reference table over H;
+# what follows is the decider's own work.
+
+
+def test_strong_and_quantify_build_one_table(fig1b, tables):
+    p = part({"C": "T"}, ("A",), ("E", "B"))
+    strong_map_independence(fig1b, p, short_circuit=False)
+    assert tables == [(), ("A",), ("A", "B", "E")]
+    tables.clear()
+    quantify(fig1b, p)
+    assert tables == [(), ("A",), ("A", "B", "E")]
+
+
+def test_threshold_builds_one_table(fn_ter, fig1b, tables):
+    threshold_map_independence(fn_ter, {"H": "h1"}, part({}, ("H",), ("R",)), 0.1)
+    assert tables == [("R",)]
+    tables.clear()
+    threshold_map_independence(fig1b, {"A": "T"}, part({"C": "T"}, ("A",), ("E", "B")), 0.1)
+    assert tables == [(), ("B", "E")]
+
+
+def test_weak_and_partition_build_one_table_per_variable(fig1b, tables):
+    weak_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")))
+    assert tables == [(), ("A",), ("A", "B"), ("A", "E")]
+    tables.clear()
+    relevance_partition(fig1b, {"C": "T"}, ("A",), ("B", "E"))
+    assert tables == [(), ("A",), ("A", "B"), ("A", "E")]
+
+
+def test_maximum_builds_one_table_per_evaluated_subset(fig1b, tables):
+    # (B,) qualifies and the extension (B, E) is evaluated and fails.
+    maximum_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")), 1)
+    assert tables == [(), ("A",), ("A", "B"), ("A", "B", "E")]
 
 
 # ---------------------------------------------------------------------------

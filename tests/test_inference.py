@@ -1,18 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 
+from mapindep import inference
 from mapindep.errors import CapacityError, InfeasibleQueryError, InvalidQueryError
 from mapindep.inference import (
     candidate_joints,
     joint_probability,
+    joint_table,
     map_solve,
     map_threshold,
     marginal,
     posterior,
 )
 from mapindep.model import Cpt, Network, Variable, assignment_at, enumerate_assignments
-from netgen import random_assignment, random_binary_network
+from netgen import random_assignment, random_binary_network, random_network
 from oracles import brute_marginal
 
 TF = ("T", "F")
@@ -114,6 +117,61 @@ def test_ve_agrees_with_independent_oracle():
 
 
 # ---------------------------------------------------------------------------
+# joint tables
+
+
+def test_joint_table_matches_independent_oracle():
+    rng = random.Random(71)
+    for _ in range(30):
+        net = random_network(rng, rng.randint(4, 8), max_states=3)
+        names = list(net.names)
+        rng.shuffle(names)
+        k = rng.randint(0, 3)
+        # reverse declaration order, so every keep set of two or more is non-canonical
+        keep = tuple(sorted(names[:k], key=net.declaration_index, reverse=True))
+        evidence = random_assignment(rng, net, names[k:k + rng.randint(0, 2)])
+        table = joint_table(net, keep, evidence)
+        assert table.shape == tuple(net.cardinality(v) for v in keep)
+        for idx in np.ndindex(table.shape):
+            cell = {v: net.variable(v).states[i] for v, i in zip(keep, idx)}
+            assert table[idx] == pytest.approx(brute_marginal(net, {**evidence, **cell}), abs=1e-12)
+
+
+def test_joint_table_infeasible_evidence_is_all_zero():
+    table = joint_table(deterministic_pair(), ("A",), {"B": "F"})
+    assert table.shape == (2,)
+    assert not table.any()
+
+
+def test_joint_table_rejects_kept_evidence(fig1b):
+    with pytest.raises(InvalidQueryError):
+        joint_table(fig1b, ("A", "C"), {"C": "T"})
+
+
+def wide_child():
+    # C has H, R and three hidden roots as parents: the table over (H, R) has
+    # four cells, but summing out C or a Y keeps H and R in a 32-cell product.
+    roots = ("H", "R", "Y1", "Y2", "Y3")
+    return Network(
+        "wide",
+        tuple(Variable(v, TF) for v in (*roots, "C")),
+        (
+            *(Cpt(v, (), ((0.5 + 0.1 * i, 0.5 - 0.1 * i),)) for i, v in enumerate(roots)),
+            Cpt("C", roots, tuple((0.9, 0.1) if i % 3 else (0.2, 0.8) for i in range(32))),
+        ),
+    )
+
+
+def test_joint_table_guard_bounds_intermediate_factors():
+    net = wide_child()
+    with pytest.raises(CapacityError):
+        joint_table(net, ("H", "R"), {}, guard=16)
+    table = joint_table(net, ("H", "R"), {}, guard=64)
+    assert np.array_equal(table, joint_table(net, ("H", "R"), {}))
+    assert table.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # posteriors
 
 
@@ -179,6 +237,18 @@ def test_map_uniform_tie(fn_bin):
 def test_map_guard(fig1b):
     with pytest.raises(CapacityError):
         map_solve(fig1b, ("A", "B"), guard=3)
+
+
+def test_map_builds_one_table(fig1b, monkeypatch):
+    built = []
+
+    def counting(net, keep, partial, **kwargs):
+        built.append(tuple(keep))
+        return joint_table(net, keep, partial, **kwargs)
+
+    monkeypatch.setattr(inference, "joint_table", counting)
+    map_solve(fig1b, ("B", "A"), {"C": "T"})
+    assert built == [("A", "B")]
 
 
 def test_map_zero_context():
