@@ -1,10 +1,14 @@
 """Exact inference: joint, marginal and posterior probabilities plus the MAP solver.
 
 Every query in the package rests on one primitive, ``joint_table``: a
-sum-product variable elimination over dense factors that sums out each
-variable that is neither observed nor kept, along a min-fill order, and
-returns Pr(keep, partial) as an array with one axis per kept variable
-(bucket elimination with the query variables left free).  A marginal is
+sum-product variable elimination over dense factors that returns
+Pr(keep, partial) as an array with one axis per kept variable (bucket
+elimination with the query variables left free).  Only the ancestors of the
+kept and observed variables take part: every other variable is barren, and
+since CPT rows sum to 1 (``validate_network`` checks this within
+``ROW_SUM_TOL``) its CPT sums out to 1 and is dropped before elimination
+(Baker & Boult, UAI 1990).  The remaining variables that are neither
+observed nor kept are summed out along a min-fill order.  A marginal is
 the table over no variables; the MAP solver takes the first maximiser of
 the table over the hypothesis.  A second route enumerates completions of
 the query assignment and is kept as a deliberately simple cross-check
@@ -30,6 +34,7 @@ from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError
 from .model import (
     Assignment,
     Network,
+    ancestors,
     assignment_at,
     assignment_count,
     canonical_vars,
@@ -124,8 +129,13 @@ def joint_table(
 ) -> np.ndarray:
     """Pr(keep, partial) as an array with one axis per kept variable, in the order given.
 
-    Each variable that is neither kept nor assigned in ``partial`` is summed
-    out along a min-fill order over those variables alone.  An empty
+    Only the ancestors of the kept and assigned variables are eliminated: a
+    variable outside that set is barren, so its CPT is dropped, and the
+    remaining variables that are neither kept nor assigned in ``partial`` are
+    summed out along a min-fill order over those variables alone.  Dropping
+    a barren CPT relies on its rows summing to 1, which ``validate_network``
+    enforces within ``ROW_SUM_TOL``; on a network built without validation
+    the table can differ from a full elimination by that row-sum slack.  An empty
     ``keep`` gives a 0-d array holding Pr(partial).  Kept variables stay in
     every bucket they touch, so a product can outgrow the final table; with
     a ``guard``, a product of more than ``guard`` entries raises
@@ -135,14 +145,17 @@ def joint_table(
     observed = {var: net.state_index(var, state) for var, state in partial.items()}
     if set(keep) & set(observed):
         raise InvalidQueryError("kept variables must not be assigned")
+    relevant = ancestors(net, (*keep, *observed))
     factors: list[Factor] = []
     for f in _base_factors(net):
+        if f.scope[-1] not in relevant:  # the CPT's child is its last axis
+            continue
         for var in f.scope:
             if var in observed:
                 f = _restrict(f, var, observed[var])
         factors.append(f)
 
-    hidden = [v for v in net.names if v not in observed and v not in keep]
+    hidden = [v for v in net.names if v in relevant and v not in observed and v not in keep]
     adjacency: dict[str, set[str]] = {v: set() for v in hidden}
     for f in factors:
         for a in f.scope:

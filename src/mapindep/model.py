@@ -322,6 +322,18 @@ def topological_order(net: Network) -> list[str]:
     return order
 
 
+def ancestors(net: Network, names: Iterable[str]) -> set[str]:
+    """The ancestral set of ``names``: the names themselves and every ancestor."""
+    found = set(names)
+    frontier = list(found)
+    while frontier:
+        for p in net.parents(frontier.pop()):
+            if p not in found:
+                found.add(p)
+                frontier.append(p)
+    return found
+
+
 def d_separated(net: Network, x: Iterable[str], y: Iterable[str], z: Iterable[str]) -> bool:
     """Whether every undirected path between ``x`` and ``y`` is blocked given ``z``.
 
@@ -339,14 +351,7 @@ def d_separated(net: Network, x: Iterable[str], y: Iterable[str], z: Iterable[st
         raise InvalidQueryError("d-separation query sets must be pairwise disjoint")
 
     # Observed nodes and their ancestors: the nodes that can activate a collider.
-    anc = set(zs)
-    frontier = list(zs)
-    while frontier:
-        node = frontier.pop()
-        for p in net.parents(node):
-            if p not in anc:
-                anc.add(p)
-                frontier.append(p)
+    anc = ancestors(net, zs)
 
     UP, DOWN = 0, 1  # arrived from a child / from a parent
     visited: set[tuple[str, int]] = set()

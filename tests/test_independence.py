@@ -90,8 +90,8 @@ def test_strong_guard_bounds_the_table():
 
 
 def test_strong_guard_bounds_intermediate_factors():
-    # Five roots feed one child C: the (H, R) table has 4 cells, but every
-    # elimination of C or a root builds a product that keeps H and R.
+    # Five roots feed one child C: the (H, R) table has 4 cells, but with C
+    # observed every elimination of a root builds a product that keeps H and R.
     roots = ("H", "R", "Y1", "Y2", "Y3")
     net = Network(
         "wide",
@@ -101,10 +101,16 @@ def test_strong_guard_bounds_intermediate_factors():
             Cpt("C", roots, tuple((0.9, 0.1) if i % 3 else (0.2, 0.8) for i in range(32))),
         ),
     )
-    p = part({}, ("H",), ("R",))
+
+    def answer(evidence, guard=inference.DEFAULT_GUARD):
+        return replace(strong_map_independence(net, part(evidence, ("H",), ("R",)), guard=guard), elapsed=0.0)
+
+    # Observed, C stays in the elimination; unobserved, it is barren and pruned.
     with pytest.raises(CapacityError):
-        strong_map_independence(net, p, guard=16)
-    assert strong_map_independence(net, p, guard=64).verdict
+        answer({"C": "T"}, guard=16)
+    assert answer({"C": "T"}, guard=64) == answer({"C": "T"})
+    assert answer({}, guard=16) == answer({})
+    assert answer({}).verdict
 
 
 def test_strong_zero_probability_focus_assignments_skipped():

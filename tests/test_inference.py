@@ -14,7 +14,7 @@ from mapindep.inference import (
     marginal,
     posterior,
 )
-from mapindep.model import Cpt, Network, Variable, assignment_at, enumerate_assignments
+from mapindep.model import Cpt, Network, Variable, assignment_at, enumerate_assignments, min_fill_order
 from netgen import random_assignment, random_binary_network, random_network
 from oracles import brute_marginal
 
@@ -122,9 +122,11 @@ def test_ve_agrees_with_independent_oracle():
 
 def test_joint_table_matches_independent_oracle():
     rng = random.Random(71)
-    for _ in range(30):
-        net = random_network(rng, rng.randint(4, 8), max_states=3)
-        names = list(net.names)
+    # The last six networks draw the query from their first four declared
+    # nodes; parents point backwards, so most of their nodes are barren.
+    for sizes, max_states, pool in [((4, 8), 3, None)] * 30 + [((10, 12), 2, 4)] * 6:
+        net = random_network(rng, rng.randint(*sizes), max_states=max_states)
+        names = list(net.names)[:pool]
         rng.shuffle(names)
         k = rng.randint(0, 3)
         # reverse declaration order, so every keep set of two or more is non-canonical
@@ -148,9 +150,49 @@ def test_joint_table_rejects_kept_evidence(fig1b):
         joint_table(fig1b, ("A", "C"), {"C": "T"})
 
 
+def test_joint_table_eliminates_only_ancestors(monkeypatch):
+    # A -> B -> C -> L <- D, L -> M, and an isolated root X.
+    net = Network(
+        "barren",
+        tuple(Variable(v, TF) for v in "ABCDLMX"),
+        (
+            Cpt("A", (), ((0.3, 0.7),)),
+            Cpt("B", ("A",), ((0.9, 0.1), (0.2, 0.8))),
+            Cpt("C", ("B",), ((0.6, 0.4), (0.1, 0.9))),
+            Cpt("D", (), ((0.5, 0.5),)),
+            Cpt("L", ("C", "D"), ((0.7, 0.3), (0.4, 0.6), (0.2, 0.8), (0.9, 0.1))),
+            Cpt("M", ("L",), ((0.8, 0.2), (0.3, 0.7))),
+            Cpt("X", (), ((0.6, 0.4),)),
+        ),
+    )
+    seen = []
+
+    def recording(adjacency, priority):
+        seen.append(set(adjacency))
+        return min_fill_order(adjacency, priority)
+
+    monkeypatch.setattr(inference, "min_fill_order", recording)
+    cases = [
+        ((), {}, set()),
+        (("B",), {}, {"A"}),
+        (("C",), {"A": "T"}, {"B"}),
+        (("X",), {"B": "F"}, {"A"}),
+        # observing the leaf M makes M, L, D and the whole chain relevant again
+        (("B",), {"M": "T"}, {"A", "C", "D", "L"}),
+        (("D",), {"L": "F"}, {"A", "B", "C"}),
+    ]
+    for keep, evidence, hidden in cases:
+        table = joint_table(net, keep, evidence)
+        assert seen.pop() == hidden
+        for idx in np.ndindex(table.shape):
+            cell = {v: net.variable(v).states[i] for v, i in zip(keep, idx)}
+            assert table[idx] == pytest.approx(brute_marginal(net, {**evidence, **cell}), abs=1e-12)
+
+
 def wide_child():
     # C has H, R and three hidden roots as parents: the table over (H, R) has
-    # four cells, but summing out C or a Y keeps H and R in a 32-cell product.
+    # four cells, but with C observed, summing out a Y keeps H and R in a
+    # 32-cell product.
     roots = ("H", "R", "Y1", "Y2", "Y3")
     return Network(
         "wide",
@@ -164,9 +206,14 @@ def wide_child():
 
 def test_joint_table_guard_bounds_intermediate_factors():
     net = wide_child()
+    # Observed, C stays in the elimination and its CPT enters 32-entry products.
+    observed = {"C": "T"}
     with pytest.raises(CapacityError):
-        joint_table(net, ("H", "R"), {}, guard=16)
-    table = joint_table(net, ("H", "R"), {}, guard=64)
+        joint_table(net, ("H", "R"), observed, guard=16)
+    table = joint_table(net, ("H", "R"), observed, guard=64)
+    assert np.array_equal(table, joint_table(net, ("H", "R"), observed))
+    # Unobserved, C is barren and pruned, so no product outgrows the table.
+    table = joint_table(net, ("H", "R"), {}, guard=16)
     assert np.array_equal(table, joint_table(net, ("H", "R"), {}))
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
