@@ -30,6 +30,7 @@ stdout when no path applies).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -144,7 +145,7 @@ def network_from_document(doc: Any) -> Network:
             Cpt(
                 str(c["variable"]),
                 tuple(str(p) for p in c["parents"]),
-                tuple(tuple(float(x) for x in row) for row in c["table"]),
+                tuple(tuple(map(float, row)) for row in c["table"]),
             )
             for c in doc["cpts"]
         )
@@ -547,7 +548,9 @@ def _cmd_bench(args) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; it depends on no input, so one is built per process."""
     parser = argparse.ArgumentParser(
         prog="mapindep",
         description="Exact inference and MAP-independence analysis for discrete Bayesian networks.",

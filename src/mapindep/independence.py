@@ -123,9 +123,14 @@ class _Fold:
 
 
 def _hamming(net: Network, hypothesis: tuple[str, ...], a_idx: int, b_idx: int) -> int:
-    a = assignment_at(net, hypothesis, a_idx)
-    b = assignment_at(net, hypothesis, b_idx)
-    return sum(1 for v in hypothesis if a[v] != b[v])
+    """How many mixed-radix digits (one per hypothesis variable) the two ranks differ in."""
+    distance = 0
+    for name in reversed(hypothesis):
+        card = net.cardinality(name)
+        a_idx, a_digit = divmod(a_idx, card)
+        b_idx, b_digit = divmod(b_idx, card)
+        distance += a_digit != b_digit
+    return distance
 
 
 def _columns(
@@ -167,8 +172,8 @@ def _fold_records(
 ) -> _Fold:
     fold = _Fold()
     for rank, (best, tie, h_star_joint, total) in enumerate(columns):
-        r = assignment_at(net, focus, rank)
         if total == 0.0:
+            r = assignment_at(net, focus, rank)
             if strict_zeros:
                 raise InfeasibleQueryError(
                     f"conditioning assignment {r!r} has probability zero under the evidence"
@@ -181,7 +186,7 @@ def _fold_records(
             fold.min_joint = h_star_joint
         changed = best != h_star_idx
         if changed and fold.counterexample is None:
-            fold.counterexample = r
+            fold.counterexample = assignment_at(net, focus, rank)
             fold.verdict = False
         if not changed:
             fold.unchanged += 1
@@ -189,7 +194,9 @@ def _fold_records(
         else:
             fold.hamming_sum += _hamming(net, hypothesis, best, h_star_idx)
         if table_limit is not None and len(fold.rows) < table_limit:
-            fold.rows.append(SweepRow(r, assignment_at(net, hypothesis, best), h_star_joint))
+            fold.rows.append(
+                SweepRow(assignment_at(net, focus, rank), assignment_at(net, hypothesis, best), h_star_joint)
+            )
         if stop_early and changed:
             break
     return fold

@@ -76,22 +76,22 @@ class MapResult:
 # ---------------------------------------------------------------------------
 # factor algebra
 
-_factor_cache: "weakref.WeakKeyDictionary[Network, tuple[Factor, ...]]" = weakref.WeakKeyDictionary()
+_factor_cache: "weakref.WeakKeyDictionary[Network, dict[str, Factor]]" = weakref.WeakKeyDictionary()
 
 
-def _base_factors(net: Network) -> tuple[Factor, ...]:
-    cached = _factor_cache.get(net)
-    if cached is None:
-        factors = []
-        for v in net.variables:
-            cpt = net.cpt(v.name)
-            scope = (*cpt.parents, v.name)
+def _base_factors(net: Network, names: list[str]) -> list[Factor]:
+    """The CPT factors of ``names``; each is built on first use and kept with the network."""
+    cache = _factor_cache.setdefault(net, {})
+    factors = []
+    for name in names:
+        f = cache.get(name)
+        if f is None:
+            cpt = net.cpt(name)
+            scope = (*cpt.parents, name)
             shape = tuple(net.cardinality(s) for s in scope)
-            values = np.asarray(cpt.rows, dtype=float).reshape(shape)
-            factors.append(Factor(scope, values))
-        cached = tuple(factors)
-        _factor_cache[net] = cached
-    return cached
+            f = cache[name] = Factor(scope, np.asarray(cpt.rows, dtype=float).reshape(shape))
+        factors.append(f)
+    return factors
 
 
 def _restrict(f: Factor, var: str, idx: int) -> Factor:
@@ -100,8 +100,10 @@ def _restrict(f: Factor, var: str, idx: int) -> Factor:
 
 
 def _multiply(a: Factor, b: Factor) -> Factor:
-    scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
-    return Factor(scope, _expand(a, scope) * _expand(b, scope))
+    # ``a``'s scope is a prefix of the product's, so trailing size-1 axes align it.
+    extra = tuple(v for v in b.scope if v not in a.scope)
+    scope = a.scope + extra
+    return Factor(scope, a.values.reshape(a.values.shape + (1,) * len(extra)) * _expand(b, scope))
 
 
 def _expand(f: Factor, scope: tuple[str, ...]) -> np.ndarray:
@@ -147,9 +149,7 @@ def joint_table(
         raise InvalidQueryError("kept variables must not be assigned")
     relevant = ancestors(net, (*keep, *observed))
     factors: list[Factor] = []
-    for f in _base_factors(net):
-        if f.scope[-1] not in relevant:  # the CPT's child is its last axis
-            continue
+    for f in _base_factors(net, [v for v in net.names if v in relevant]):
         for var in f.scope:
             if var in observed:
                 f = _restrict(f, var, observed[var])

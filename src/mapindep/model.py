@@ -171,56 +171,55 @@ def validate_network(net: Network) -> list[Violation]:
 
     Violations are data, not failures: structural problems (dangling parent
     references, bad shapes, cycles) and probabilistic ones (entries outside
-    [0, 1], rows not summing to 1 within ``ROW_SUM_TOL``) are all reported
-    with their location.
+    [0, 1], NaN included, rows not summing to 1 within ``ROW_SUM_TOL``) are
+    all reported with their location.
     """
     out: list[Violation] = []
     seen_vars: set[str] = set()
     for v in net.variables:
-        where = f"variable {v.name}"
         if v.name in seen_vars:
-            out.append(Violation("duplicate_variable", where, "name declared twice"))
+            out.append(Violation("duplicate_variable", f"variable {v.name}", "name declared twice"))
         seen_vars.add(v.name)
         if len(v.states) < 2:
-            out.append(Violation("too_few_states", where, f"{len(v.states)} state(s), need at least 2"))
+            out.append(Violation("too_few_states", f"variable {v.name}",
+                                 f"{len(v.states)} state(s), need at least 2"))
         if len(set(v.states)) != len(v.states):
-            out.append(Violation("duplicate_state", where, "state names not unique"))
+            out.append(Violation("duplicate_state", f"variable {v.name}", "state names not unique"))
 
     cards = {v.name: v.cardinality for v in net.variables}
     seen_children: set[str] = set()
     for c in net.cpts:
-        where = f"cpt {c.child}"
         if c.child not in cards:
-            out.append(Violation("unknown_child", where, "no such variable"))
+            out.append(Violation("unknown_child", f"cpt {c.child}", "no such variable"))
             continue
         if c.child in seen_children:
-            out.append(Violation("duplicate_cpt", where, "variable has more than one CPT"))
+            out.append(Violation("duplicate_cpt", f"cpt {c.child}", "variable has more than one CPT"))
             continue
         seen_children.add(c.child)
 
         dangling = [p for p in c.parents if p not in cards]
         for p in dangling:
-            out.append(Violation("dangling_parent", where, f"parent {p!r} is not a variable"))
+            out.append(Violation("dangling_parent", f"cpt {c.child}", f"parent {p!r} is not a variable"))
         if len(set(c.parents)) != len(c.parents):
-            out.append(Violation("duplicate_parent", where, "parent listed twice"))
+            out.append(Violation("duplicate_parent", f"cpt {c.child}", "parent listed twice"))
         if dangling:
             continue
 
         expected_rows = prod(cards[p] for p in c.parents)
         if len(c.rows) != expected_rows:
-            out.append(Violation("shape", where, f"{len(c.rows)} rows, expected {expected_rows}"))
+            out.append(Violation("shape", f"cpt {c.child}", f"{len(c.rows)} rows, expected {expected_rows}"))
             continue
         width = cards[c.child]
         for i, row in enumerate(c.rows):
-            row_where = f"{where} row {i}"
             if len(row) != width:
-                out.append(Violation("shape", row_where, f"{len(row)} columns, expected {width}"))
+                out.append(Violation("shape", f"cpt {c.child} row {i}", f"{len(row)} columns, expected {width}"))
                 continue
-            if any(p < 0.0 or p > 1.0 for p in row):
-                out.append(Violation("probability_range", row_where, "entry outside [0, 1]"))
+            if any(not 0.0 <= p <= 1.0 for p in row):  # NaN fails every comparison
+                out.append(Violation("probability_range", f"cpt {c.child} row {i}", "entry outside [0, 1]"))
             deviation = abs(sum(row) - 1.0)
             if deviation > ROW_SUM_TOL:
-                out.append(Violation("row_sum", row_where, f"sums to {sum(row)!r}, deviation {deviation:g}"))
+                out.append(Violation("row_sum", f"cpt {c.child} row {i}",
+                                     f"sums to {sum(row)!r}, deviation {deviation:g}"))
 
     missing = [n for n in cards if n not in seen_children]
     for n in missing:

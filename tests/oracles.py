@@ -48,19 +48,18 @@ def _first_argmax(values: list[float]) -> int:
     return best
 
 
-def brute_strong(
+def brute_columns(
     net: Network,
     hypothesis: tuple[str, ...],
     evidence: dict[str, str],
     focus: tuple[str, ...],
-) -> tuple[bool, dict[str, str] | None]:
-    """The strong MAP-independence definition, decided by full enumeration.
+) -> tuple[dict[str, str], list[tuple[dict[str, str], float, dict[str, str], float]]]:
+    """The reference explanation h* and one record per focus assignment r.
 
-    One pass over the full joint buckets Pr(h, r, e) by (r, h); the per-r
-    argmaxes are then compared to the argmax of the r-marginalized buckets.
-    Returns the verdict and the first (canonical-order) counterexample.
-    Zero-probability focus assignments are skipped, matching the package's
-    reading of the universal quantifier.
+    One pass over the full joint fills the buckets Pr(h, r, e) by (r, h);
+    h* is the first argmax of the r-marginalized buckets.  Records come in
+    canonical order of r: (r, Pr(r, e), the first argmax h of Pr(h, r, e),
+    Pr(h*, r, e)).
     """
     h_tuples = list(product(*_state_lists(net, hypothesis)))
     r_tuples = list(product(*_state_lists(net, focus)))
@@ -81,12 +80,58 @@ def brute_strong(
         reference[hi] += p
 
     ref_idx = _first_argmax(reference)
-    for ri, joints in enumerate(buckets):
-        if sum(joints) == 0.0:
-            continue
-        if _first_argmax(joints) != ref_idx:
-            return False, dict(zip(focus, r_tuples[ri]))
+    records = [
+        (dict(zip(focus, r)), sum(joints), dict(zip(hypothesis, h_tuples[_first_argmax(joints)])), joints[ref_idx])
+        for r, joints in zip(r_tuples, buckets)
+    ]
+    return dict(zip(hypothesis, h_tuples[ref_idx])), records
+
+
+def brute_strong(
+    net: Network,
+    hypothesis: tuple[str, ...],
+    evidence: dict[str, str],
+    focus: tuple[str, ...],
+) -> tuple[bool, dict[str, str] | None]:
+    """The strong MAP-independence definition, decided by full enumeration.
+
+    Returns the verdict and the first (canonical-order) counterexample.
+    Zero-probability focus assignments are skipped, matching the package's
+    reading of the universal quantifier.
+    """
+    h_star, records = brute_columns(net, hypothesis, evidence, focus)
+    for r, total, best, _ in records:
+        if total != 0.0 and best != h_star:
+            return False, r
     return True, None
+
+
+def brute_quantify(
+    net: Network,
+    hypothesis: tuple[str, ...],
+    evidence: dict[str, str],
+    focus: tuple[str, ...],
+) -> tuple[float, float, float]:
+    """Quantified MAP-independence by full enumeration: (mass, proportion, mean Hamming).
+
+    ``mass`` is the total Pr(r | e) of the assignments r whose MAP equals
+    h*; ``proportion`` counts those, plus the zero-probability ones that
+    cannot move it, against |Omega(R)|; ``mean_hamming`` sums, over every
+    r whose MAP differs, the number of hypothesis variables that differ,
+    divided by |Omega(R)|.
+    """
+    h_star, records = brute_columns(net, hypothesis, evidence, focus)
+    p_e = sum(total for _, total, _, _ in records)
+    mass = 0.0
+    unchanged = 0
+    flips = 0
+    for _, total, best, _ in records:
+        if total == 0.0 or best == h_star:
+            unchanged += 1
+            mass += total
+        else:
+            flips += sum(1 for v in hypothesis if best[v] != h_star[v])
+    return mass / p_e, unchanged / len(records), flips / len(records)
 
 
 def brute_amajsat(ast: FormulaAst, a_vars: tuple[str, ...]) -> bool:

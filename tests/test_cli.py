@@ -30,6 +30,7 @@ TF = ("T", "F")
 
 FIG1B = str(FIXTURES / "fig1b.json")
 FIG1A = str(FIXTURES / "fig1a.json")
+NAN_CPT = str(FIXTURES.parent / "tests" / "data" / "nan_cpt.json")
 
 
 def write_query(tmp_path, name, doc):
@@ -115,6 +116,18 @@ def test_validate_invalid_network(tmp_path, capsys):
     path.write_text(emit_json(network_to_document(net)), encoding="utf-8")
     assert run(["validate", "--network", str(path)]) == EXIT_INVALID_NETWORK
     assert "row_sum" in capsys.readouterr().err
+
+
+def test_validate_nan_entry_is_invalid(capsys):
+    assert run(["validate", "--network", NAN_CPT]) == EXIT_INVALID_NETWORK
+    assert "probability_range: cpt A row 0" in capsys.readouterr().err
+
+
+def test_query_on_nan_entry_writes_no_report(tmp_path):
+    query = write_query(tmp_path, "q.json", {"mode": "map", "hypothesis": ["A"], "evidence": {}})
+    out = tmp_path / "r.json"
+    assert run(["query", "--network", NAN_CPT, "--query", query, "--output", str(out)]) == EXIT_INVALID_NETWORK
+    assert not out.exists()
 
 
 def test_validate_parse_error(tmp_path):
@@ -383,6 +396,34 @@ def test_reports_byte_identical_modulo_elapsed(tmp_path):
     run(["query", "--network", FIG1B, "--query", query, "--output", str(outs[2]), "--parallel", "4"])
     texts = [strip_elapsed(o.read_text()) for o in outs]
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    # The parser is built once per process; earlier calls' flags, a usage
+    # error and --version must leave a later plain query as a fresh process runs it.
+    query = write_query(tmp_path, "q.json", {
+        "mode": "strong", "hypothesis": ["A"], "evidence": {"C": "T"}, "focus": ["B", "E"],
+    })
+    fresh = tmp_path / "fresh.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mapindep", "query", "--network", FIG1B, "--query", query, "--output", str(fresh)],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(FIXTURES.parent / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == EXIT_OK
+
+    flagged = tmp_path / "flagged.json"
+    assert run([
+        "query", "--network", FIG1B, "--query", query, "--output", str(flagged),
+        "--strict-zeros", "--table-limit", "2",
+    ]) == EXIT_OK
+    assert run(["query", "--network", FIG1B, "--query", query]) == EXIT_USAGE
+    assert run(["--version"]) == EXIT_OK
+    capsys.readouterr()
+    plain = tmp_path / "plain.json"
+    assert run(["query", "--network", FIG1B, "--query", query, "--output", str(plain)]) == EXIT_OK
+    assert "per_assignment" in flagged.read_text()
+    assert strip_elapsed(plain.read_text()) == strip_elapsed(fresh.read_text())
 
 
 def test_module_entry_point_runs():

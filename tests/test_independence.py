@@ -15,8 +15,8 @@ from mapindep.independence import (
     weak_map_independence,
 )
 from mapindep.model import Cpt, Network, QueryPartition, Variable, d_separated
-from netgen import random_binary_network, random_partition
-from oracles import brute_strong
+from netgen import random_binary_network, random_network, random_partition
+from oracles import brute_columns, brute_quantify, brute_strong
 
 JOINT_TABLE = inference.joint_table
 
@@ -346,6 +346,60 @@ def test_quantify_consistent_with_verdict():
         assert verdict == (metrics.proportion == 1.0)
         assert verdict == (abs(metrics.mass - 1.0) <= 1e-9)
         assert verdict == (metrics.mean_hamming == 0.0)
+
+
+def with_deterministic_rows(rng, net, share):
+    """``net`` with about ``share`` of its CPT rows made one-hot, so some
+    focus assignments get probability zero under the evidence."""
+    def row(r):
+        if rng.random() >= share:
+            return r
+        hot = rng.randrange(len(r))
+        return tuple(1.0 if i == hot else 0.0 for i in range(len(r)))
+
+    cpts = tuple(Cpt(c.child, c.parents, tuple(row(r) for r in c.rows)) for c in net.cpts)
+    return Network(net.name, net.variables, cpts)
+
+
+def test_quantify_matches_brute_force_with_several_hypothesis_variables():
+    # |H| = 2-3 over 2-3 states each, so the Hamming distance is read off
+    # mixed-radix ranks; a third of the CPT rows are one-hot, so skipped
+    # assignments and zero evidence occur too.
+    rng = random.Random(419)
+    checked = skipped = flips = 0
+    for _ in range(40):
+        net = with_deterministic_rows(rng, random_network(rng, rng.randint(5, 7), max_states=3), 0.3)
+        partition = random_partition(rng, net, n_evidence=rng.randint(0, 1),
+                                     n_hypothesis=rng.randint(2, 3), n_focus=rng.randint(1, 2))
+        hyp = tuple(sorted(partition.hypothesis, key=net.declaration_index))
+        focus = tuple(sorted(partition.focus, key=net.declaration_index))
+        h_star, records = brute_columns(net, hyp, partition.evidence, focus)
+        if sum(total for _, total, _, _ in records) == 0.0:
+            with pytest.raises(InfeasibleQueryError):
+                quantify(net, partition)
+            continue
+        mass, proportion, mean_hamming = brute_quantify(net, hyp, partition.evidence, focus)
+        metrics = quantify(net, partition)
+        assert metrics.mass == pytest.approx(mass, abs=1e-9)
+        assert metrics.proportion == proportion
+        assert metrics.mean_hamming == pytest.approx(mean_hamming, abs=1e-12)
+
+        limit = rng.randint(0, 4)
+        report = strong_map_independence(net, partition, table_limit=limit, short_circuit=False,
+                                         with_metrics=True)
+        assert report.witness == h_star
+        assert (report.verdict, report.counterexample) == brute_strong(net, hyp, partition.evidence, focus)
+        assert list(report.skipped) == [r for r, total, _, _ in records if total == 0.0]
+        expected_rows = [(r, best, joint) for r, total, best, joint in records if total != 0.0][:limit]
+        assert [(row.assignment, row.map_assignment) for row in report.per_assignment] == [
+            (r, best) for r, best, _ in expected_rows
+        ]
+        for row, (_, _, joint) in zip(report.per_assignment, expected_rows):
+            assert row.h_star_joint == pytest.approx(joint, abs=1e-12)
+        checked += 1
+        skipped += bool(report.skipped)
+        flips += mean_hamming > 0
+    assert checked >= 30 and skipped >= 10 and flips >= 15
 
 
 def test_quantify_with_skipped_assignments_stays_consistent():

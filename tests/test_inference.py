@@ -14,7 +14,16 @@ from mapindep.inference import (
     marginal,
     posterior,
 )
-from mapindep.model import Cpt, Network, Variable, assignment_at, enumerate_assignments, min_fill_order
+from mapindep.independence import strong_map_independence
+from mapindep.model import (
+    Cpt,
+    Network,
+    QueryPartition,
+    Variable,
+    assignment_at,
+    enumerate_assignments,
+    min_fill_order,
+)
 from netgen import random_assignment, random_binary_network, random_network
 from oracles import brute_marginal
 
@@ -150,9 +159,9 @@ def test_joint_table_rejects_kept_evidence(fig1b):
         joint_table(fig1b, ("A", "C"), {"C": "T"})
 
 
-def test_joint_table_eliminates_only_ancestors(monkeypatch):
+def barren_network():
     # A -> B -> C -> L <- D, L -> M, and an isolated root X.
-    net = Network(
+    return Network(
         "barren",
         tuple(Variable(v, TF) for v in "ABCDLMX"),
         (
@@ -165,6 +174,10 @@ def test_joint_table_eliminates_only_ancestors(monkeypatch):
             Cpt("X", (), ((0.6, 0.4),)),
         ),
     )
+
+
+def test_joint_table_eliminates_only_ancestors(monkeypatch):
+    net = barren_network()
     seen = []
 
     def recording(adjacency, priority):
@@ -187,6 +200,28 @@ def test_joint_table_eliminates_only_ancestors(monkeypatch):
         for idx in np.ndindex(table.shape):
             cell = {v: net.variable(v).states[i] for v, i in zip(keep, idx)}
             assert table[idx] == pytest.approx(brute_marginal(net, {**evidence, **cell}), abs=1e-12)
+
+
+def test_factor_cache_holds_only_ancestral_cpts():
+    cases = [
+        (("B",), {}, {"A", "B"}),
+        (("X",), {"B": "F"}, {"A", "B", "X"}),
+        (("B",), {"M": "T"}, {"A", "B", "C", "D", "L", "M"}),
+    ]
+    for keep, evidence, relevant in cases:
+        net = barren_network()
+        joint_table(net, keep, evidence)
+        cached = inference._factor_cache[net]
+        assert set(cached) == relevant
+        for name, f in cached.items():
+            cpt = net.cpt(name)
+            assert f.scope == (*cpt.parents, name)
+            assert f.values.ravel().tolist() == [p for row in cpt.rows for p in row]
+    # A strong query's tables (Pr(e), the h* table, Pr(H, R, e)) need the
+    # ancestors of H, R and e, and nothing else.
+    net = barren_network()
+    strong_map_independence(net, QueryPartition(evidence={"A": "T"}, hypothesis=("C",), focus=("D",)))
+    assert set(inference._factor_cache[net]) == {"A", "B", "C", "D"}
 
 
 def wide_child():

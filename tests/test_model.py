@@ -82,6 +82,49 @@ def test_entry_out_of_range():
     assert "probability_range" in codes
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entry_out_of_range(bad):
+    net = Network(
+        "nonfinite",
+        (Variable("A", TF), Variable("B", TF)),
+        (Cpt("A", (), ((0.5, 0.5),)), Cpt("B", ("A",), ((0.5, 0.5), (bad, bad)))),
+    )
+    located = [(v.code, v.where) for v in validate_network(net)]
+    assert ("probability_range", "cpt B row 1") in located
+
+
+def test_violation_locations():
+    net = Network(
+        "broken",
+        (Variable("A", TF), Variable("A", TF), Variable("C", ("x",))),
+        (
+            Cpt("A", ("Z",), ((1.0, 0.0),)),
+            Cpt("C", (), ((1.0,), (0.5,))),
+            Cpt("C", (), ((1.0,),)),
+            Cpt("D", (), ((1.0,),)),
+        ),
+    )
+    located = [(v.code, v.where) for v in validate_network(net)]
+    assert located == [
+        ("duplicate_variable", "variable A"),
+        ("too_few_states", "variable C"),
+        ("dangling_parent", "cpt A"),
+        ("shape", "cpt C"),
+        ("duplicate_cpt", "cpt C"),
+        ("unknown_child", "cpt D"),
+    ]
+    net = Network("rows", (Variable("A", TF), Variable("B", TF)), (
+        Cpt("A", (), ((0.5, 0.5),)),
+        Cpt("B", ("A",), ((0.5,), (1.5, 0.2))),
+    ))
+    located = [(v.code, v.where) for v in validate_network(net)]
+    assert located == [
+        ("shape", "cpt B row 0"),
+        ("probability_range", "cpt B row 1"),
+        ("row_sum", "cpt B row 1"),
+    ]
+
+
 def test_missing_and_duplicate_cpts():
     net = Network(
         "cptless",
