@@ -21,7 +21,7 @@ Three document kinds travel through the CLI, all UTF-8 JSON:
   are emitted with 17 significant digits, so two runs of the same query
   produce byte-identical reports except for the elapsed field.
 
-Exit codes: 0 success, 1 usage or parse error, 2 invalid network,
+Exit codes: 0 success, 1 usage, parse or write error, 2 invalid network,
 3 infeasible query (zero-probability conditioning), 4 capacity guard
 exceeded.  Diagnostics go to stderr; reports go to the output path (or
 stdout when no path applies).
@@ -301,12 +301,19 @@ def make_report(network: Network, query: Mapping[str, Any], result: dict, elapse
     }
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_report(doc: dict, path: str | None) -> None:
     text = emit_json(doc)
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +516,7 @@ def _cmd_compile(args) -> int:
         raise InvalidQueryError("--emit-query requires --aset")
     doc = network_to_document(instance.network)
     if args.out:
-        Path(args.out).write_text(emit_json(doc), encoding="utf-8")
+        _write_text(args.out, emit_json(doc))
     else:
         sys.stdout.write(emit_json(doc))
     if args.emit_query:
@@ -522,7 +529,7 @@ def _cmd_compile(args) -> int:
             "h_star": dict(q.h_star),
             "s": q.s,
         }
-        Path(args.emit_query).write_text(emit_json(query_doc), encoding="utf-8")
+        _write_text(args.emit_query, emit_json(query_doc))
     return EXIT_OK
 
 

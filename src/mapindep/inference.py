@@ -15,9 +15,10 @@ the query assignment and is kept as a deliberately simple cross-check
 (``method="brute"``).  Both are exact up to floating point and agree
 within 1e-9 on the network sizes this package targets.
 
-Arithmetic is plain double precision.  If a joint-probability product
-underflows (all entries positive but the running product drops below
-1e-300) the computation is retried in log space.
+Arithmetic is plain double precision.  Only ``joint_probability`` (the
+brute-force route) retries in log space, when its running product drops
+below 1e-300.  Variable elimination has no underflow handling: a Pr(e)
+that underflows to 0.0 is reported as infeasible evidence.
 """
 
 from __future__ import annotations

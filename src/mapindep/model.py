@@ -20,6 +20,7 @@ import heapq
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import prod
 
 from .errors import InvalidQueryError, NetworkValidationError
@@ -419,25 +420,28 @@ def min_fill_order(adjacency: Mapping[str, set[str]], priority: Mapping[str, int
     """Greedy min-fill elimination order over an undirected interaction graph.
 
     Returns the order and its width (the largest neighbor set met at
-    elimination time), which upper-bounds the graph's treewidth.  Ties go to
-    the node with the smallest ``priority``.
+    elimination time), which upper-bounds the graph's treewidth.  Each step
+    eliminates the node with the smallest key ``(fill, priority)``, where fill
+    counts the non-adjacent pairs among its neighbors.  Priorities are
+    expected to be distinct; equal keys go to the node first in
+    ``adjacency`` order.
+
+    Every key is computed once and then kept up to date: eliminating ``best``
+    with neighborhood N changes only the keys of N (their neighbor sets lost
+    ``best``) and, when ``best`` had non-zero fill, of the neighbors of N,
+    whose neighbor pairs the new fill edges among N may join.
     """
     adj = {v: set(ns) for v, ns in adjacency.items()}
+
+    def key(v: str) -> tuple[int, int]:
+        return sum(1 for a, b in combinations(adj[v], 2) if b not in adj[a]), priority[v]
+
+    keys = {v: key(v) for v in adj}
     order: list[str] = []
     width = 0
-    while adj:
-        best = None
-        best_key = None
-        for v, ns in adj.items():
-            neighbors = list(ns)
-            fill = 0
-            for i in range(len(neighbors)):
-                for j in range(i + 1, len(neighbors)):
-                    if neighbors[j] not in adj[neighbors[i]]:
-                        fill += 1
-            key = (fill, priority[v])
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+    while keys:
+        best = min(keys, key=keys.__getitem__)
+        fill, _ = keys.pop(best)
         ns = adj.pop(best)
         width = max(width, len(ns))
         for a in ns:
@@ -445,6 +449,12 @@ def min_fill_order(adjacency: Mapping[str, set[str]], priority: Mapping[str, int
             for b in ns:
                 if a != b:
                     adj[a].add(b)
+        changed = set(ns)
+        if fill:
+            for a in ns:
+                changed.update(adj[a])
+        for v in changed:
+            keys[v] = key(v)
         order.append(best)
     return order, width
 

@@ -149,3 +149,36 @@ def brute_amajsat(ast: FormulaAst, a_vars: tuple[str, ...]) -> bool:
         if not 2 * satisfying > half:
             return False
     return True
+
+
+def brute_min_fill_order(adjacency: dict[str, set[str]], priority: dict[str, int]) -> tuple[list[str], int]:
+    """Greedy min-fill order recounting the fill of every remaining node at each step.
+
+    The smallest key ``(fill, priority)`` is eliminated first; equal keys go
+    to the node first in ``adjacency`` order.  Returns the order and its width.
+    """
+    adj = {v: set(ns) for v, ns in adjacency.items()}
+    order: list[str] = []
+    width = 0
+    while adj:
+        best = None
+        best_key = None
+        for v, ns in adj.items():
+            neighbors = list(ns)
+            fill = 0
+            for i in range(len(neighbors)):
+                for j in range(i + 1, len(neighbors)):
+                    if neighbors[j] not in adj[neighbors[i]]:
+                        fill += 1
+            key = (fill, priority[v])
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        ns = adj.pop(best)
+        width = max(width, len(ns))
+        for a in ns:
+            adj[a].discard(best)
+            for b in ns:
+                if a != b:
+                    adj[a].add(b)
+        order.append(best)
+    return order, width

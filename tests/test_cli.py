@@ -284,6 +284,16 @@ def test_query_negative_table_limit_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_query_unwritable_output_is_usage_error(tmp_path, capsys):
+    query = write_query(tmp_path, "q.json", {
+        "mode": "strong", "hypothesis": ["A"], "evidence": {"C": "T"}, "focus": ["B", "E"],
+    })
+    out = tmp_path / "missing" / "r.json"
+    assert run(["query", "--network", FIG1B, "--query", query, "--output", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # compile
 
@@ -321,6 +331,18 @@ def test_compile_emit_query_round_trip(tmp_path):
 def test_compile_syntax_error_exit(capsys):
     assert run(["compile", "--formula", "x1 &"]) == EXIT_USAGE
     assert "byte offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--emit-query"])
+def test_compile_unwritable_output_is_usage_error(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "f.json"
+    paths = {"--out": str(tmp_path / "net.json"), "--emit-query": str(tmp_path / "q.json"), flag: str(target)}
+    assert run([
+        "compile", "--formula", "!(x1 & x2) | (x3 | x4)", "--aset", "x1,x2",
+        "--out", paths["--out"], "--emit-query", paths["--emit-query"],
+    ]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
 
 
 def test_compile_emit_query_requires_aset(tmp_path):

@@ -14,7 +14,8 @@ from mapindep.inference import (
     marginal,
     posterior,
 )
-from mapindep.independence import strong_map_independence
+from mapindep.compiler import And, Not, Or, Var, build_amajsat_instance
+from mapindep.independence import strong_map_independence, threshold_map_independence
 from mapindep.model import (
     Cpt,
     Network,
@@ -25,7 +26,7 @@ from mapindep.model import (
     min_fill_order,
 )
 from netgen import random_assignment, random_binary_network, random_network
-from oracles import brute_marginal
+from oracles import brute_marginal, brute_min_fill_order
 
 TF = ("T", "F")
 
@@ -200,6 +201,40 @@ def test_joint_table_eliminates_only_ancestors(monkeypatch):
         for idx in np.ndindex(table.shape):
             cell = {v: net.variable(v).states[i] for v, i in zip(keep, idx)}
             assert table[idx] == pytest.approx(brute_marginal(net, {**evidence, **cell}), abs=1e-12)
+
+
+def formula_over(rng, names, extra):
+    """A random formula using every name, plus ``extra`` repeated occurrences."""
+    terms = [Var(n) for n in names] + [Var(rng.choice(names)) for _ in range(extra)]
+    terms = [Not(t) if rng.random() < 0.3 else t for t in terms]
+    while len(terms) > 1:
+        a = terms.pop(rng.randrange(len(terms)))
+        b = terms.pop(rng.randrange(len(terms)))
+        terms.append(And(a, b) if rng.random() < 0.5 else Or(a, b))
+    return terms[0]
+
+
+def test_elimination_orders_match_full_rescan_on_compiled_formulas(monkeypatch):
+    seen = []
+
+    def recording(adjacency, priority):
+        seen.append(({v: set(ns) for v, ns in adjacency.items()}, dict(priority)))
+        return min_fill_order(adjacency, priority)
+
+    monkeypatch.setattr(inference, "min_fill_order", recording)
+    rng = random.Random(1620)
+    for n_vars in (16, 17, 18, 19, 20):
+        for _ in range(2):
+            names = [f"x{i}" for i in range(n_vars)]
+            instance = build_amajsat_instance(formula_over(rng, names, 6), rng.sample(names, rng.randint(3, 6)))
+            net, phi, query = instance.network, instance.phi_node, instance.query
+            focus = tuple(rng.sample(names, 3))
+            strong_map_independence(net, QueryPartition(evidence={}, hypothesis=(phi,), focus=focus))
+            partition = QueryPartition(evidence=dict(query.evidence), hypothesis=(phi,), focus=query.focus)
+            threshold_map_independence(net, query.h_star, partition, query.s)
+    assert sum(len(adjacency) > 20 for adjacency, _ in seen) >= 20
+    for adjacency, priority in seen:
+        assert min_fill_order(adjacency, priority) == brute_min_fill_order(adjacency, priority)
 
 
 def test_factor_cache_holds_only_ancestral_cpts():

@@ -13,13 +13,15 @@ from mapindep.model import (
     assignment_rank,
     d_separated,
     enumerate_assignments,
+    min_fill_order,
+    moral_adjacency,
     network_stats,
     resolve_partition,
     topological_order,
     validate_network,
 )
 from netgen import random_network
-from oracles import chain_product
+from oracles import brute_min_fill_order, chain_product
 
 TF = ("T", "F")
 
@@ -360,6 +362,37 @@ def test_stats_chain():
 
 def test_stats_ternary_cardinality(fn_ter):
     assert network_stats(fn_ter).max_cardinality == 3
+
+
+def random_graph(rng):
+    """Up to 30 nodes, edge density 0.1-0.4, adjacency order and priorities shuffled."""
+    names = [f"N{i}" for i in range(rng.randint(0, 30))]
+    rng.shuffle(names)
+    density = rng.uniform(0.1, 0.4)
+    adjacency = {v: set() for v in names}
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if rng.random() < density:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    ranks = list(range(len(names)))
+    rng.shuffle(ranks)
+    return adjacency, dict(zip(names, ranks))
+
+
+def test_min_fill_order_matches_full_rescan():
+    rng = random.Random(5150)
+    for _ in range(2000):
+        adjacency, priority = random_graph(rng)
+        assert min_fill_order(adjacency, priority) == brute_min_fill_order(adjacency, priority)
+
+
+def test_stats_width_matches_full_rescan_on_400_nodes():
+    net = random_network(random.Random(400), 400, max_parents=2)
+    priority = {name: i for i, name in enumerate(net.names)}
+    order, width = min_fill_order(moral_adjacency(net), priority)
+    assert (order, width) == brute_min_fill_order(moral_adjacency(net), priority)
+    assert network_stats(net).treewidth_upper_bound == width
 
 
 # ---------------------------------------------------------------------------
