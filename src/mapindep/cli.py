@@ -132,22 +132,29 @@ def network_to_document(net: Network) -> dict:
     }
 
 
+def _array(value: Any, what: str) -> list:
+    # A string would iterate into its characters and load as something else.
+    if not isinstance(value, list):
+        raise DocumentError(f"malformed network document: {what} must be a JSON array")
+    return value
+
+
 def network_from_document(doc: Any) -> Network:
     if not isinstance(doc, Mapping):
         raise DocumentError("network document must be a JSON object")
     try:
         name = doc["name"]
         variables = tuple(
-            Variable(str(v["name"]), tuple(str(s) for s in v["states"]))
-            for v in doc["variables"]
+            Variable(str(v["name"]), tuple(str(s) for s in _array(v["states"], "states")))
+            for v in _array(doc["variables"], "variables")
         )
         cpts = tuple(
             Cpt(
                 str(c["variable"]),
-                tuple(str(p) for p in c["parents"]),
-                tuple(tuple(map(float, row)) for row in c["table"]),
+                tuple(str(p) for p in _array(c["parents"], "parents")),
+                tuple(tuple(map(float, _array(row, "table row"))) for row in _array(c["table"], "table")),
             )
-            for c in doc["cpts"]
+            for c in _array(doc["cpts"], "cpts")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed network document: {exc}") from exc
@@ -345,7 +352,8 @@ def bench(
     intermediates = [v for v in net.names if v not in taken]
     if not 1 <= r_max <= len(intermediates):
         raise InvalidQueryError(f"rmax must be between 1 and {len(intermediates)}, got {r_max}")
-    # A strong query's own checks, in its order: the partition, Pr(e) = 0, |Omega(H)|.
+    # A strong query's checks: the partition, Pr(e) = 0, then |Omega(H)| (here a note, no rows).
+    # A strong query tests |Omega(H)| first: when both fail it exits 4 where bench exits 3.
     partition = QueryPartition(evidence=dict(evidence), hypothesis=tuple(hypothesis), focus=(intermediates[0],))
     hyp, evidence, _ = resolve_partition(net, partition)
     if marginal(net, evidence) == 0.0:
@@ -434,46 +442,6 @@ def _cmd_query(args) -> int:
         result_doc = _map_result(
             map_solve(net, _str_list(query["hypothesis"], "hypothesis"), _assignment(query.get("evidence"), "evidence"))
         )
-    elif mode in ("strong", "weak", "quantify", "threshold"):
-        partition = QueryPartition(
-            evidence=_assignment(query.get("evidence"), "evidence"),
-            hypothesis=tuple(_str_list(query["hypothesis"], "hypothesis")),
-            focus=tuple(_str_list(query["focus"], "focus")),
-        )
-        if mode == "strong":
-            report = strong_map_independence(
-                net, partition, table_limit=table_limit, strict_zeros=args.strict_zeros
-            )
-        elif mode == "weak":
-            report = weak_map_independence(
-                net, partition, table_limit=table_limit, strict_zeros=args.strict_zeros
-            )
-        elif mode == "quantify":
-            report = strong_map_independence(
-                net, partition, table_limit=table_limit, strict_zeros=args.strict_zeros,
-                short_circuit=False, with_metrics=True
-            )
-            report = _relabel(report, "quantify")
-        else:
-            report = threshold_map_independence(
-                net,
-                _assignment(query["h_star"], "h_star"),
-                partition,
-                parse_threshold(query["s"]),
-                table_limit=table_limit,
-            )
-        result_doc = _independence_result(report, table=table_limit is not None)
-    elif mode == "maximum":
-        partition = QueryPartition(
-            evidence=_assignment(query.get("evidence"), "evidence"),
-            hypothesis=tuple(_str_list(query["hypothesis"], "hypothesis")),
-            focus=tuple(_str_list(query["focus"], "focus")),
-        )
-        k = query["k"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise DocumentError("k must be an integer")
-        report = maximum_map_independence(net, partition, k, strict_zeros=args.strict_zeros)
-        result_doc = _independence_result(report, table=False)
     elif mode == "partition":
         parts = relevance_partition(
             net,
@@ -494,15 +462,39 @@ def _cmd_query(args) -> int:
                 for var, finding in parts.justification.items()
             },
         }
-    else:  # pragma: no cover - modes are validated by load_query
-        raise DocumentError(f"unhandled mode {mode!r}")
+    else:
+        partition = QueryPartition(
+            evidence=_assignment(query.get("evidence"), "evidence"),
+            hypothesis=tuple(_str_list(query["hypothesis"], "hypothesis")),
+            focus=tuple(_str_list(query["focus"], "focus")),
+        )
+        if mode in ("strong", "quantify"):
+            report = strong_map_independence(
+                net, partition, table_limit=table_limit, strict_zeros=args.strict_zeros,
+                short_circuit=mode == "strong", with_metrics=mode == "quantify"
+            )
+            report = replace(report, mode=mode)
+        elif mode == "weak":
+            report = weak_map_independence(
+                net, partition, table_limit=table_limit, strict_zeros=args.strict_zeros
+            )
+        elif mode == "maximum":
+            k = query["k"]
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise DocumentError("k must be an integer")
+            report = maximum_map_independence(net, partition, k, strict_zeros=args.strict_zeros)
+        else:  # threshold; modes are validated by load_query
+            report = threshold_map_independence(
+                net,
+                _assignment(query["h_star"], "h_star"),
+                partition,
+                parse_threshold(query["s"]),
+                table_limit=table_limit,
+            )
+        result_doc = _independence_result(report, table=table_limit is not None)
 
     _write_report(make_report(net, query, result_doc, time.perf_counter() - t0), args.output)
     return EXIT_OK
-
-
-def _relabel(report: IndependenceReport, mode: str) -> IndependenceReport:
-    return replace(report, mode=mode)
 
 
 def _cmd_compile(args) -> int:

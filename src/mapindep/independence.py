@@ -10,13 +10,20 @@ pool from which H is strongly independent.
 Every decider is a reduction over one table Pr(H, S, e) built by
 ``inference.joint_table``, where S is the focus set, a single focus
 variable or a candidate subset.  Each column (one assignment s) yields its
-first maximiser, a tie flag, its total Pr(s, e) and the entry of the
-reference explanation h* = argmax_H Pr(H, e) (with R marginalized out);
-the columns are then folded in canonical row-major order, and the first
-differing assignment is the counterexample.  Zero-probability (s, e)
+first maximiser and tie flag, by the rule ``map_solve`` also applies, its
+total Pr(s, e) and the entry of the reference explanation h*; the columns
+are folded in canonical row-major order, and the first differing
+assignment is the counterexample.  Zero-probability (s, e)
 combinations cannot be observed, so by default they are skipped and
 listed in the report; ``strict_zeros`` turns them into an
 InfeasibleQueryError instead.
+
+h* = argmax_H Pr(H, e) is ``map_solve``'s answer.  Its table totals Pr(e),
+so its zero check, made after the guard has passed |Omega(H)| and the
+table's elimination, is the check for infeasible evidence: no decider
+eliminates for Pr(e) on its own.  Only quantify's ``mass`` needs the
+value, and ``threshold``, which has no reference table, checks it
+separately.
 
 The ``workers`` keyword is accepted for compatibility and ignored: a query
 is one elimination, so there is no sweep to split.
@@ -29,12 +36,18 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import Iterator, Mapping
 
 from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError
-from .inference import DEFAULT_GUARD, DEFAULT_TIE_TOL, joint_table, map_solve, marginal
+from .inference import (
+    DEFAULT_GUARD,
+    DEFAULT_TIE_TOL,
+    MapResult,
+    _column_argmax,
+    joint_table,
+    map_solve,
+    marginal,
+)
 from .model import (
     Assignment,
     Network,
@@ -133,43 +146,41 @@ def _hamming(net: Network, hypothesis: tuple[str, ...], a_idx: int, b_idx: int) 
     return distance
 
 
-def _columns(
+def _reference(
+    net: Network, hypothesis: tuple[str, ...], evidence: Assignment, tie_tol: float, guard: int
+) -> tuple[MapResult, int]:
+    """h* = argmax_H Pr(H, e) and its rank; ``map_solve`` raises on Pr(e) = 0."""
+    reference = map_solve(net, hypothesis, evidence, tie_tol=tie_tol, guard=guard)
+    return reference, assignment_rank(net, hypothesis, reference.assignment)
+
+
+def _fold(
     net: Network,
     hypothesis: tuple[str, ...],
     evidence: Assignment,
     focus: tuple[str, ...],
     h_star_idx: int,
+    *,
     tie_tol: float,
     guard: int,
-) -> Iterator[tuple[int, bool, float, float]]:
-    """Per-column reductions of Pr(H, S, e) over S = ``focus``, in canonical rank order.
+    strict_zeros: bool,
+    stop_early: bool,
+    table_limit: int | None = None,
+) -> _Fold:
+    """Fold the columns of one table Pr(H, S, e), S = ``focus``, in canonical rank order.
 
-    Each column yields its first maximiser, whether another candidate lies
-    within ``tie_tol`` of it, Pr(h*, s, e) and the column total Pr(s, e).
+    Each column gives its first maximiser and tie flag (``_column_argmax``),
+    Pr(h*, s, e) and its total Pr(s, e); the first column whose maximiser
+    is not h* is the counterexample, and ``stop_early`` ends the fold there.
     """
     ranks = _guarded_count(net, focus, guard)
     cells = assignment_count(net, hypothesis) * ranks
     if cells > guard:
         raise CapacityError(f"|Omega(H)| * |Omega(S)| = {cells} exceeds guard {guard}")
     table = joint_table(net, hypothesis + focus, evidence, guard=guard).reshape(-1, ranks)
-    argmax = table.argmax(axis=0)
-    near = table.max(axis=0) - table <= tie_tol
-    near[argmax, np.arange(ranks)] = False
-    return zip(
-        argmax.tolist(), near.any(axis=0).tolist(), table[h_star_idx].tolist(), table.sum(axis=0).tolist()
-    )
+    argmax, ties = _column_argmax(table, tie_tol)
+    columns = zip(argmax, ties, table[h_star_idx].tolist(), table.sum(axis=0).tolist())
 
-
-def _fold_records(
-    net: Network,
-    hypothesis: tuple[str, ...],
-    focus: tuple[str, ...],
-    h_star_idx: int,
-    columns: Iterable[tuple[int, bool, float, float]],
-    table_limit: int | None,
-    strict_zeros: bool,
-    stop_early: bool,
-) -> _Fold:
     fold = _Fold()
     for rank, (best, tie, h_star_joint, total) in enumerate(columns):
         if total == 0.0:
@@ -202,62 +213,24 @@ def _fold_records(
     return fold
 
 
+def _singleton_folds(
+    net: Network,
+    hypothesis: tuple[str, ...],
+    evidence: Assignment,
+    focus: tuple[str, ...],
+    h_star_idx: int,
+    **fold_options,
+) -> Iterator[tuple[str, _Fold]]:
+    """(R_i, fold of Pr(H, R_i, e)) for each focus variable in canonical order, one table each."""
+    for var in focus:
+        yield var, _fold(net, hypothesis, evidence, (var,), h_star_idx, **fold_options)
+
+
 def _guarded_count(net: Network, focus: tuple[str, ...], guard: int) -> int:
     count = assignment_count(net, focus)
     if count > guard:
         raise CapacityError(f"|Omega(R)| = {count} exceeds guard {guard}")
     return count
-
-
-def _sweep_report(
-    net: Network,
-    mode: str,
-    hypothesis: tuple[str, ...],
-    evidence: Assignment,
-    focus: tuple[str, ...],
-    *,
-    tie_tol: float,
-    guard: int,
-    table_limit: int | None,
-    strict_zeros: bool,
-    short_circuit: bool,
-    with_metrics: bool,
-    started: float,
-) -> IndependenceReport:
-    p_e = marginal(net, evidence)
-    if p_e == 0.0:
-        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
-    reference = map_solve(net, hypothesis, evidence, tie_tol=tie_tol, guard=guard)
-    h_star_idx = assignment_rank(net, hypothesis, reference.assignment)
-
-    stop_early = short_circuit and not with_metrics and table_limit is None
-    columns = _columns(net, hypothesis, evidence, focus, h_star_idx, tie_tol, guard)
-    fold = _fold_records(
-        net, hypothesis, focus, h_star_idx, columns, table_limit, strict_zeros, stop_early,
-    )
-
-    metrics = None
-    if with_metrics:
-        total = assignment_count(net, focus)
-        metrics = Quantification(
-            mass=fold.mass_num / p_e,
-            proportion=fold.unchanged / total,
-            mean_hamming=fold.hamming_sum / total,
-        )
-    ties = reference.tie or fold.ties
-    return IndependenceReport(
-        mode=mode,
-        verdict=fold.verdict,
-        witness=reference.assignment,
-        counterexample=fold.counterexample,
-        min_joint=fold.min_joint,
-        per_assignment=tuple(fold.rows) if table_limit is not None else None,
-        skipped=tuple(fold.skipped),
-        ties_encountered=ties,
-        warning=TIE_WARNING if ties else None,
-        metrics=metrics,
-        elapsed=time.perf_counter() - started,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +253,41 @@ def strong_map_independence(
 
     Reduces one table Pr(H, R, e), comparing each column's MAP to the
     reference explanation in canonical order; stops at the first
-    counterexample unless a table or metrics were requested.
+    counterexample unless a table or metrics were requested.  The metrics
+    divide by Pr(e), the one elimination they add.
     """
     started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
-    return _sweep_report(
-        net, "strong", hypothesis, evidence, focus,
-        tie_tol=tie_tol, guard=guard, table_limit=table_limit,
-        strict_zeros=strict_zeros, short_circuit=short_circuit,
-        with_metrics=with_metrics, started=started,
+    reference, h_star_idx = _reference(net, hypothesis, evidence, tie_tol, guard)
+    fold = _fold(
+        net, hypothesis, evidence, focus, h_star_idx,
+        tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, table_limit=table_limit,
+        stop_early=short_circuit and not with_metrics and table_limit is None,
+    )
+
+    metrics = None
+    if with_metrics:
+        total = assignment_count(net, focus)
+        metrics = Quantification(
+            mass=fold.mass_num / marginal(net, evidence),
+            proportion=fold.unchanged / total,
+            mean_hamming=fold.hamming_sum / total,
+        )
+    ties = reference.tie or fold.ties
+    return IndependenceReport(
+        mode="strong",
+        verdict=fold.verdict,
+        witness=reference.assignment,
+        counterexample=fold.counterexample,
+        min_joint=fold.min_joint,
+        per_assignment=tuple(fold.rows) if table_limit is not None else None,
+        skipped=tuple(fold.skipped),
+        ties_encountered=ties,
+        warning=TIE_WARNING if ties else None,
+        metrics=metrics,
+        elapsed=time.perf_counter() - started,
     )
 
 
@@ -315,41 +312,28 @@ def weak_map_independence(
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
-    p_e = marginal(net, evidence)
-    if p_e == 0.0:
-        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
-    reference = map_solve(net, hypothesis, evidence, tie_tol=tie_tol, guard=guard)
-    h_star_idx = assignment_rank(net, hypothesis, reference.assignment)
+    reference, h_star_idx = _reference(net, hypothesis, evidence, tie_tol, guard)
 
-    verdict = True
-    counterexample: Assignment | None = None
-    ties = reference.tie
-    skipped: list[Assignment] = []
-    rows: list[SweepRow] = []
-    for var in focus:
-        single = (var,)
-        stop_early = short_circuit and table_limit is None
-        columns = _columns(net, hypothesis, evidence, single, h_star_idx, tie_tol, guard)
-        fold = _fold_records(
-            net, hypothesis, single, h_star_idx, columns, table_limit, strict_zeros, stop_early,
-        )
-        ties = ties or fold.ties
-        skipped.extend(fold.skipped)
-        if table_limit is not None:
-            rows.extend(fold.rows[: max(0, table_limit - len(rows))])
-        if not fold.verdict:
-            if verdict:  # keep the canonical-first counterexample
-                counterexample = fold.counterexample
-            verdict = False
-            if short_circuit and table_limit is None:
-                break
+    stop_early = short_circuit and table_limit is None
+    folds: list[_Fold] = []
+    for _, fold in _singleton_folds(
+        net, hypothesis, evidence, focus, h_star_idx,
+        tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros,
+        stop_early=stop_early, table_limit=table_limit,
+    ):
+        folds.append(fold)
+        if stop_early and not fold.verdict:
+            break
+    counterexample = next((f.counterexample for f in folds if not f.verdict), None)
+    rows = [row for f in folds for row in f.rows][:table_limit]
+    ties = reference.tie or any(f.ties for f in folds)
     return IndependenceReport(
         mode="weak",
-        verdict=verdict,
+        verdict=counterexample is None,
         witness=reference.assignment,
         counterexample=counterexample,
         per_assignment=tuple(rows) if table_limit is not None else None,
-        skipped=tuple(skipped),
+        skipped=tuple(r for f in folds for r in f.skipped),
         ties_encountered=ties,
         warning=TIE_WARNING if ties else None,
         elapsed=time.perf_counter() - started,
@@ -365,7 +349,6 @@ def maximum_map_independence(
     guard: int = DEFAULT_GUARD,
     workers: int = 1,
     strict_zeros: bool = False,
-    prune: bool = True,
 ) -> IndependenceReport:
     """Find a subset of the candidate pool, of size at least ``k``, from which
     the hypothesis is strongly MAP-independent.
@@ -385,23 +368,20 @@ def maximum_map_independence(
         raise InvalidQueryError(f"k must be between 1 and {len(pool)}, got {k}")
     if math.comb(len(pool), k) > guard:
         raise CapacityError(f"C({len(pool)}, {k}) exceeds guard {guard}")
-    p_e = marginal(net, evidence)
-    if p_e == 0.0:
-        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
-    reference = map_solve(net, hypothesis, evidence, tie_tol=tie_tol, guard=guard)
-    h_star_idx = assignment_rank(net, hypothesis, reference.assignment)
+    reference, h_star_idx = _reference(net, hypothesis, evidence, tie_tol, guard)
     ties = reference.tie
 
     failing: list[frozenset[str]] = []
 
     def pruned(subset: tuple[str, ...]) -> bool:
-        candidate = set(subset)
-        return any(f <= candidate for f in failing)
+        return any(f.issubset(subset) for f in failing)
 
     def independent(subset: tuple[str, ...]) -> bool:
         nonlocal ties
-        columns = _columns(net, hypothesis, evidence, subset, h_star_idx, tie_tol, guard)
-        fold = _fold_records(net, hypothesis, subset, h_star_idx, columns, None, strict_zeros, True)
+        fold = _fold(
+            net, hypothesis, evidence, subset, h_star_idx,
+            tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, stop_early=True,
+        )
         ties = ties or fold.ties
         if not fold.verdict:
             failing.append(frozenset(subset))
@@ -409,7 +389,7 @@ def maximum_map_independence(
 
     best: tuple[str, ...] | None = None
     for subset in combinations(pool, k):
-        if prune and not ties and pruned(subset):
+        if not ties and pruned(subset):
             continue
         if independent(subset):
             best = subset
@@ -422,9 +402,7 @@ def maximum_map_independence(
             if var in best:
                 continue
             extended = canonical_vars(net, (*best, var))
-            if prune and pruned(extended):
-                continue
-            if independent(extended):
+            if not pruned(extended) and independent(extended):
                 best = extended
 
     return IndependenceReport(
@@ -529,30 +507,18 @@ def relevance_partition(
     """
     if mode not in ("weak", "strong-singleton"):
         raise InvalidQueryError(f"unknown relevance mode {mode!r}")
-    evidence = dict(evidence)
-    hyp = canonical_vars(net, hypothesis)
-    cands = canonical_vars(net, candidates)
-    if not hyp:
-        raise InvalidQueryError("hypothesis set must be non-empty")
-    check_assignment(net, evidence)
-    if set(cands) & set(hyp) or set(cands) & set(evidence):
-        raise InvalidQueryError("candidates must be disjoint from hypothesis and evidence")
+    hyp, evidence, cands = resolve_partition(net, QueryPartition(evidence, hypothesis, candidates))
     if not cands:
         return RelevancePartition(relevant=(), irrelevant=(), justification={})
+    _, h_star_idx = _reference(net, hyp, evidence, tie_tol, guard)
 
-    p_e = marginal(net, evidence)
-    if p_e == 0.0:
-        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
-    reference = map_solve(net, hyp, evidence, tie_tol=tie_tol, guard=guard)
-    h_star_idx = assignment_rank(net, hyp, reference.assignment)
-
-    relevant: list[str] = []
-    irrelevant: list[str] = []
-    justification: dict[str, SingletonFinding] = {}
-    for var in cands:
-        single = (var,)
-        columns = _columns(net, hyp, evidence, single, h_star_idx, tie_tol, guard)
-        fold = _fold_records(net, hyp, single, h_star_idx, columns, None, strict_zeros, True)
-        justification[var] = SingletonFinding(fold.verdict, fold.counterexample)
-        (irrelevant if fold.verdict else relevant).append(var)
-    return RelevancePartition(tuple(relevant), tuple(irrelevant), justification)
+    justification = {
+        var: SingletonFinding(fold.verdict, fold.counterexample)
+        for var, fold in _singleton_folds(
+            net, hyp, evidence, cands, h_star_idx,
+            tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, stop_early=True,
+        )
+    }
+    relevant = tuple(var for var, finding in justification.items() if not finding.map_independent)
+    irrelevant = tuple(var for var, finding in justification.items() if finding.map_independent)
+    return RelevancePartition(relevant, irrelevant, justification)

@@ -183,6 +183,17 @@ def _product(net: Network, factors: list[Factor], guard: int | None) -> Factor:
     return product
 
 
+def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[bool]]:
+    """The tie rule: each column's first maximising row, and whether another
+    row lies within ``tie_tol`` of that maximum (rows in canonical rank order).
+    """
+    argmax = table.argmax(axis=0)
+    columns = np.arange(table.shape[1])
+    near = table[argmax, columns] - table <= tie_tol
+    near[argmax, columns] = False
+    return argmax.tolist(), near.any(axis=0).tolist()
+
+
 def _brute_marginal(net: Network, partial: Mapping[str, str]) -> float:
     """Pr(partial) by summing the chain-rule product over every completion."""
     free = tuple(v for v in net.names if v not in partial)
@@ -302,12 +313,8 @@ def map_solve(
     if p_context == 0.0:
         raise InfeasibleQueryError(f"conditioning context {context!r} has probability zero")
 
-    best_idx = 0
-    for i, p in enumerate(joints):
-        if p > joints[best_idx]:
-            best_idx = i
+    (best_idx,), (tie,) = _column_argmax(np.asarray(joints).reshape(-1, 1), tie_tol)
     best = joints[best_idx]
-    tie = any(i != best_idx and best - p <= tie_tol for i, p in enumerate(joints))
     runner_up = max(p for i, p in enumerate(joints) if i != best_idx)
     return MapResult(
         assignment=assignment_at(net, hyp, best_idx),

@@ -88,6 +88,46 @@ def test_load_truncated_file(tmp_path):
         load_network(path)
 
 
+def two_node_document():
+    return {
+        "name": "pair",
+        "variables": [{"name": "A", "states": ["T", "F"]}, {"name": "B", "states": ["T", "F"]}],
+        "cpts": [
+            {"variable": "A", "parents": [], "table": [[0.5, 0.5]]},
+            {"variable": "B", "parents": ["A"], "table": [[1.0, 0.0], [0.0, 1.0]]},
+        ],
+    }
+
+
+def _set_field(doc, field, value):
+    if field in ("variables", "cpts"):
+        doc[field] = value
+    elif field == "states":
+        doc["variables"][0]["states"] = value
+    elif field == "row":
+        doc["cpts"][1]["table"][0] = value
+    else:
+        doc["cpts"][1][field] = value
+
+
+# A string in place of a list would iterate into its characters.
+@pytest.mark.parametrize("field, value", [
+    ("variables", ""),
+    ("states", "TF"),
+    ("cpts", ""),
+    ("parents", "A"),
+    ("table", "1001"),
+    ("row", "10"),
+])
+def test_network_fields_must_be_arrays(tmp_path, capsys, field, value):
+    doc = two_node_document()
+    _set_field(doc, field, value)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", "--network", str(path)]) == EXIT_USAGE
+    assert "must be a JSON array" in capsys.readouterr().err
+
+
 def test_seventeen_digit_float_emission():
     text = emit_json({"p": 0.1 + 0.2})
     assert "0.30000000000000004" in text

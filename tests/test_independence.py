@@ -461,17 +461,18 @@ def tables(monkeypatch):
     return built
 
 
-# Each decider first builds Pr(e) (keep ()) and the reference table over H;
-# what follows is the decider's own work.
+# Each decider first builds the reference table over H, whose total is Pr(e);
+# what follows is the decider's own work.  Quantify adds Pr(e) (keep ()) for
+# its mass.
 
 
 def test_strong_and_quantify_build_one_table(fig1b, tables):
     p = part({"C": "T"}, ("A",), ("E", "B"))
     strong_map_independence(fig1b, p, short_circuit=False)
-    assert tables == [(), ("A",), ("A", "B", "E")]
+    assert tables == [("A",), ("A", "B", "E")]
     tables.clear()
     quantify(fig1b, p)
-    assert tables == [(), ("A",), ("A", "B", "E")]
+    assert tables == [("A",), ("A", "B", "E"), ()]
 
 
 def test_threshold_builds_one_table(fn_ter, fig1b, tables):
@@ -484,16 +485,68 @@ def test_threshold_builds_one_table(fn_ter, fig1b, tables):
 
 def test_weak_and_partition_build_one_table_per_variable(fig1b, tables):
     weak_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")))
-    assert tables == [(), ("A",), ("A", "B"), ("A", "E")]
+    assert tables == [("A",), ("A", "B"), ("A", "E")]
     tables.clear()
     relevance_partition(fig1b, {"C": "T"}, ("A",), ("B", "E"))
-    assert tables == [(), ("A",), ("A", "B"), ("A", "E")]
+    assert tables == [("A",), ("A", "B"), ("A", "E")]
 
 
 def test_maximum_builds_one_table_per_evaluated_subset(fig1b, tables):
     # (B,) qualifies and the extension (B, E) is evaluated and fails.
     maximum_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")), 1)
-    assert tables == [(), ("A",), ("A", "B"), ("A", "B", "E")]
+    assert tables == [("A",), ("A", "B"), ("A", "B", "E")]
+
+
+def infeasible_network():
+    # E is certainly T, so the evidence E=F has probability zero.
+    return Network(
+        "infeasible",
+        (Variable("E", TF), Variable("H", TF), Variable("R", TF)),
+        (
+            Cpt("E", (), ((1.0, 0.0),)),
+            Cpt("H", (), ((0.7, 0.3),)),
+            Cpt("R", ("H",), ((0.9, 0.1), (0.2, 0.8))),
+        ),
+    )
+
+
+def run_decider(name, net, **kwargs):
+    p = part({"E": "F"}, ("H",), ("R",))
+    if name == "strong":
+        return strong_map_independence(net, p, **kwargs)
+    if name == "weak":
+        return weak_map_independence(net, p, **kwargs)
+    if name == "quantify":
+        return quantify(net, p, **kwargs)
+    if name == "maximum":
+        return maximum_map_independence(net, p, 1, **kwargs)
+    if name == "partition":
+        return relevance_partition(net, p.evidence, p.hypothesis, p.focus, **kwargs)
+    return threshold_map_independence(net, {"H": "T"}, p, 0.1, **kwargs)
+
+
+DECIDERS = ("strong", "weak", "quantify", "maximum", "partition", "threshold")
+
+
+@pytest.mark.parametrize("name", DECIDERS)
+def test_infeasible_evidence_raises(name):
+    with pytest.raises(InfeasibleQueryError):
+        run_decider(name, infeasible_network())
+
+
+@pytest.mark.parametrize("name", [n for n in DECIDERS if n != "threshold"])
+def test_hypothesis_guard_wins_over_infeasible_evidence(name):
+    # |Omega(H)| = 2 > guard 1 is checked before the reference table is
+    # built, and its total is the infeasibility check.  (Threshold has no
+    # reference table.)
+    with pytest.raises(CapacityError):
+        run_decider(name, infeasible_network(), guard=1)
+
+
+def test_partition_rejects_evidence_on_hypothesis_before_any_table(fig1b, tables):
+    with pytest.raises(InvalidQueryError):
+        relevance_partition(fig1b, {"A": "T"}, ("A",), ("B",))
+    assert tables == []
 
 
 # ---------------------------------------------------------------------------

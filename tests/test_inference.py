@@ -26,7 +26,7 @@ from mapindep.model import (
     min_fill_order,
 )
 from netgen import random_assignment, random_binary_network, random_network
-from oracles import brute_marginal, brute_min_fill_order
+from oracles import _first_argmax, brute_marginal, brute_min_fill_order
 
 TF = ("T", "F")
 
@@ -403,6 +403,25 @@ def test_map_tie_free_result_stable_at_zero_tolerance():
             assert map_solve(net, (names[0],), tie_tol=0.0).assignment == result.assignment
             checked += 1
     assert checked > 10
+
+
+def test_column_argmax_matches_loop_rule():
+    # The tie rule as a per-column Python loop (first maximiser, then any
+    # other entry within the tolerance), kept as the reference.
+    # With tolerance 0.25, the levels 0.25 and 0.5 sit exactly on its edge.
+    rng = random.Random(41)
+    levels = [0.0, 0.25, 0.5, 0.5 - 1e-10, 0.5 - 2e-9]  # exact and near ties
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+        tie_tol = rng.choice([1e-9, 0.25])
+        values = [rng.choice(levels + [rng.random()]) for _ in range(rows * cols)]
+        table = np.array(values).reshape(rows, cols)
+        argmax, ties = inference._column_argmax(table, tie_tol)
+        for c in range(cols):
+            column = table[:, c].tolist()
+            best = _first_argmax(column)
+            assert argmax[c] == best
+            assert ties[c] == any(i != best and column[best] - p <= tie_tol for i, p in enumerate(column))
 
 
 def test_map_exhaustive_dominance():
