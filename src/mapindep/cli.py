@@ -352,8 +352,8 @@ def bench(
     intermediates = [v for v in net.names if v not in taken]
     if not 1 <= r_max <= len(intermediates):
         raise InvalidQueryError(f"rmax must be between 1 and {len(intermediates)}, got {r_max}")
-    # A strong query's checks: the partition, Pr(e) = 0, then |Omega(H)| (here a note, no rows).
-    # A strong query tests |Omega(H)| first: when both fail it exits 4 where bench exits 3.
+    # bench's checks: the partition, Pr(e) = 0, then |Omega(H)| (here a note, no rows).  A
+    # strong query checks its table's guards before Pr(e) = 0: failing both, it exits 4, bench 3.
     partition = QueryPartition(evidence=dict(evidence), hypothesis=tuple(hypothesis), focus=(intermediates[0],))
     hyp, evidence, _ = resolve_partition(net, partition)
     if marginal(net, evidence) == 0.0:

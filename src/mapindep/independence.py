@@ -18,11 +18,13 @@ combinations cannot be observed, so by default they are skipped and
 listed in the report; ``strict_zeros`` turns them into an
 InfeasibleQueryError instead.
 
-h* = argmax_H Pr(H, e) is ``map_solve``'s answer.  Its table totals Pr(e),
-so its zero check, made after the guard has passed |Omega(H)| and the
-table's elimination, is the check for infeasible evidence: no decider
-eliminates for Pr(e) on its own.  Only quantify's ``mass`` needs the
-value, and ``threshold``, which has no reference table, checks it
+h* = argmax_H Pr(H, e) comes from the first table a decider builds: its
+row sums are Pr(H, e), reduced by the same tie rule, and their total is
+Pr(e), so a zero total is the check for infeasible evidence.  It runs
+after the guard has passed that table and its elimination, and later
+tables (weak, partition, maximum) reuse the rank.  No decider eliminates
+for h* or Pr(e) on its own; only quantify's ``mass`` eliminates for
+Pr(e), and ``threshold``, which has no reference explanation, checks it
 separately.
 
 The ``workers`` keyword is accepted for compatibility and ignored: a query
@@ -42,10 +44,8 @@ from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError
 from .inference import (
     DEFAULT_GUARD,
     DEFAULT_TIE_TOL,
-    MapResult,
     _column_argmax,
     joint_table,
-    map_solve,
     marginal,
 )
 from .model import (
@@ -54,7 +54,6 @@ from .model import (
     QueryPartition,
     assignment_at,
     assignment_count,
-    assignment_rank,
     canonical_vars,
     check_assignment,
     resolve_partition,
@@ -124,6 +123,7 @@ class RelevancePartition:
 
 @dataclass
 class _Fold:
+    h_star: int
     verdict: bool = True
     counterexample: Assignment | None = None
     ties: bool = False
@@ -146,21 +146,13 @@ def _hamming(net: Network, hypothesis: tuple[str, ...], a_idx: int, b_idx: int) 
     return distance
 
 
-def _reference(
-    net: Network, hypothesis: tuple[str, ...], evidence: Assignment, tie_tol: float, guard: int
-) -> tuple[MapResult, int]:
-    """h* = argmax_H Pr(H, e) and its rank; ``map_solve`` raises on Pr(e) = 0."""
-    reference = map_solve(net, hypothesis, evidence, tie_tol=tie_tol, guard=guard)
-    return reference, assignment_rank(net, hypothesis, reference.assignment)
-
-
 def _fold(
     net: Network,
     hypothesis: tuple[str, ...],
     evidence: Assignment,
     focus: tuple[str, ...],
-    h_star_idx: int,
     *,
+    h_star_idx: int | None = None,
     tie_tol: float,
     guard: int,
     strict_zeros: bool,
@@ -172,16 +164,24 @@ def _fold(
     Each column gives its first maximiser and tie flag (``_column_argmax``),
     Pr(h*, s, e) and its total Pr(s, e); the first column whose maximiser
     is not h* is the counterexample, and ``stop_early`` ends the fold there.
+    Without ``h_star_idx``, h* is the first maximiser of the row sums
+    Pr(H, e), whose tie flag starts ``ties``; a zero total means Pr(e) = 0.
     """
     ranks = _guarded_count(net, focus, guard)
     cells = assignment_count(net, hypothesis) * ranks
     if cells > guard:
         raise CapacityError(f"|Omega(H)| * |Omega(S)| = {cells} exceeds guard {guard}")
     table = joint_table(net, hypothesis + focus, evidence, guard=guard).reshape(-1, ranks)
+    h_star_tie = False
+    if h_star_idx is None:
+        joints = table.sum(axis=1)
+        if joints.sum() == 0.0:
+            raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
+        (h_star_idx,), (h_star_tie,) = _column_argmax(joints.reshape(-1, 1), tie_tol)
     argmax, ties = _column_argmax(table, tie_tol)
     columns = zip(argmax, ties, table[h_star_idx].tolist(), table.sum(axis=0).tolist())
 
-    fold = _Fold()
+    fold = _Fold(h_star_idx, ties=h_star_tie)
     for rank, (best, tie, h_star_joint, total) in enumerate(columns):
         if total == 0.0:
             r = assignment_at(net, focus, rank)
@@ -218,12 +218,14 @@ def _singleton_folds(
     hypothesis: tuple[str, ...],
     evidence: Assignment,
     focus: tuple[str, ...],
-    h_star_idx: int,
     **fold_options,
 ) -> Iterator[tuple[str, _Fold]]:
-    """(R_i, fold of Pr(H, R_i, e)) for each focus variable in canonical order, one table each."""
+    """(R_i, fold of Pr(H, R_i, e)) per focus variable in canonical order; the first finds h*."""
+    h_star_idx = None
     for var in focus:
-        yield var, _fold(net, hypothesis, evidence, (var,), h_star_idx, **fold_options)
+        fold = _fold(net, hypothesis, evidence, (var,), h_star_idx=h_star_idx, **fold_options)
+        h_star_idx = fold.h_star
+        yield var, fold
 
 
 def _guarded_count(net: Network, focus: tuple[str, ...], guard: int) -> int:
@@ -254,15 +256,16 @@ def strong_map_independence(
     Reduces one table Pr(H, R, e), comparing each column's MAP to the
     reference explanation in canonical order; stops at the first
     counterexample unless a table or metrics were requested.  The metrics
-    divide by Pr(e), the one elimination they add.
+    divide by Pr(e), the one elimination they add: the table's total is
+    Pr(e) too, but summed in another order its last digits differ, and
+    ``mass`` is reported to 17 significant digits.
     """
     started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
-    reference, h_star_idx = _reference(net, hypothesis, evidence, tie_tol, guard)
     fold = _fold(
-        net, hypothesis, evidence, focus, h_star_idx,
+        net, hypothesis, evidence, focus,
         tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, table_limit=table_limit,
         stop_early=short_circuit and not with_metrics and table_limit is None,
     )
@@ -275,17 +278,16 @@ def strong_map_independence(
             proportion=fold.unchanged / total,
             mean_hamming=fold.hamming_sum / total,
         )
-    ties = reference.tie or fold.ties
     return IndependenceReport(
         mode="strong",
         verdict=fold.verdict,
-        witness=reference.assignment,
+        witness=assignment_at(net, hypothesis, fold.h_star),
         counterexample=fold.counterexample,
         min_joint=fold.min_joint,
         per_assignment=tuple(fold.rows) if table_limit is not None else None,
         skipped=tuple(fold.skipped),
-        ties_encountered=ties,
-        warning=TIE_WARNING if ties else None,
+        ties_encountered=fold.ties,
+        warning=TIE_WARNING if fold.ties else None,
         metrics=metrics,
         elapsed=time.perf_counter() - started,
     )
@@ -312,12 +314,10 @@ def weak_map_independence(
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
-    reference, h_star_idx = _reference(net, hypothesis, evidence, tie_tol, guard)
-
     stop_early = short_circuit and table_limit is None
     folds: list[_Fold] = []
     for _, fold in _singleton_folds(
-        net, hypothesis, evidence, focus, h_star_idx,
+        net, hypothesis, evidence, focus,
         tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros,
         stop_early=stop_early, table_limit=table_limit,
     ):
@@ -326,11 +326,11 @@ def weak_map_independence(
             break
     counterexample = next((f.counterexample for f in folds if not f.verdict), None)
     rows = [row for f in folds for row in f.rows][:table_limit]
-    ties = reference.tie or any(f.ties for f in folds)
+    ties = any(f.ties for f in folds)
     return IndependenceReport(
         mode="weak",
         verdict=counterexample is None,
-        witness=reference.assignment,
+        witness=assignment_at(net, hypothesis, folds[0].h_star),
         counterexample=counterexample,
         per_assignment=tuple(rows) if table_limit is not None else None,
         skipped=tuple(r for f in folds for r in f.skipped),
@@ -368,20 +368,20 @@ def maximum_map_independence(
         raise InvalidQueryError(f"k must be between 1 and {len(pool)}, got {k}")
     if math.comb(len(pool), k) > guard:
         raise CapacityError(f"C({len(pool)}, {k}) exceeds guard {guard}")
-    reference, h_star_idx = _reference(net, hypothesis, evidence, tie_tol, guard)
-    ties = reference.tie
-
+    h_star_idx: int | None = None  # found by the first subset evaluated
+    ties = False
     failing: list[frozenset[str]] = []
 
     def pruned(subset: tuple[str, ...]) -> bool:
         return any(f.issubset(subset) for f in failing)
 
     def independent(subset: tuple[str, ...]) -> bool:
-        nonlocal ties
+        nonlocal h_star_idx, ties
         fold = _fold(
-            net, hypothesis, evidence, subset, h_star_idx,
+            net, hypothesis, evidence, subset, h_star_idx=h_star_idx,
             tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, stop_early=True,
         )
+        h_star_idx = fold.h_star
         ties = ties or fold.ties
         if not fold.verdict:
             failing.append(frozenset(subset))
@@ -408,7 +408,7 @@ def maximum_map_independence(
     return IndependenceReport(
         mode="maximum",
         verdict=best is not None,
-        witness=reference.assignment,
+        witness=assignment_at(net, hypothesis, h_star_idx),
         subset=best,
         ties_encountered=ties,
         warning=TIE_WARNING if ties else None,
@@ -510,12 +510,10 @@ def relevance_partition(
     hyp, evidence, cands = resolve_partition(net, QueryPartition(evidence, hypothesis, candidates))
     if not cands:
         return RelevancePartition(relevant=(), irrelevant=(), justification={})
-    _, h_star_idx = _reference(net, hyp, evidence, tie_tol, guard)
-
     justification = {
         var: SingletonFinding(fold.verdict, fold.counterexample)
         for var, fold in _singleton_folds(
-            net, hyp, evidence, cands, h_star_idx,
+            net, hyp, evidence, cands,
             tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, stop_early=True,
         )
     }

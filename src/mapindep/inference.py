@@ -15,10 +15,9 @@ the query assignment and is kept as a deliberately simple cross-check
 (``method="brute"``).  Both are exact up to floating point and agree
 within 1e-9 on the network sizes this package targets.
 
-Arithmetic is plain double precision.  Only ``joint_probability`` (the
-brute-force route) retries in log space, when its running product drops
-below 1e-300.  Variable elimination has no underflow handling: a Pr(e)
-that underflows to 0.0 is reported as infeasible evidence.
+Arithmetic is plain double precision on both routes, with no underflow
+handling: a product below the smallest double becomes 0.0, so a Pr(e)
+that underflows is reported as infeasible evidence.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .model import (
 
 DEFAULT_TIE_TOL = 1e-9
 DEFAULT_GUARD = 1 << 20
-UNDERFLOW_LIMIT = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +215,6 @@ def joint_probability(net: Network, full: Mapping[str, str]) -> float:
         raise InvalidQueryError(f"joint_probability needs a full assignment; missing {missing}")
     check_assignment(net, full)
     product = 1.0
-    entries: list[float] = []
     for v in net.variables:
         cpt = net.cpt(v.name)
         row = 0
@@ -226,10 +223,7 @@ def joint_probability(net: Network, full: Mapping[str, str]) -> float:
         entry = cpt.rows[row][net.state_index(v.name, full[v.name])]
         if entry == 0.0:
             return 0.0
-        entries.append(entry)
         product *= entry
-    if product < UNDERFLOW_LIMIT:
-        return math.exp(math.fsum(math.log(e) for e in entries))
     return product
 
 

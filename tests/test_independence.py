@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from mapindep.independence import (
     threshold_map_independence,
     weak_map_independence,
 )
+from mapindep.inference import map_solve
 from mapindep.model import Cpt, Network, QueryPartition, Variable, d_separated
 from netgen import random_binary_network, random_network, random_partition
 from oracles import brute_columns, brute_quantify, brute_strong
@@ -461,18 +463,18 @@ def tables(monkeypatch):
     return built
 
 
-# Each decider first builds the reference table over H, whose total is Pr(e);
-# what follows is the decider's own work.  Quantify adds Pr(e) (keep ()) for
-# its mass.
+# No decider builds a table over H alone: h* and the Pr(e) = 0 check come
+# from the row sums of its first table Pr(H, S, e).  Quantify adds Pr(e)
+# (keep ()) for its mass.
 
 
 def test_strong_and_quantify_build_one_table(fig1b, tables):
     p = part({"C": "T"}, ("A",), ("E", "B"))
     strong_map_independence(fig1b, p, short_circuit=False)
-    assert tables == [("A",), ("A", "B", "E")]
+    assert tables == [("A", "B", "E")]
     tables.clear()
     quantify(fig1b, p)
-    assert tables == [("A",), ("A", "B", "E"), ()]
+    assert tables == [("A", "B", "E"), ()]
 
 
 def test_threshold_builds_one_table(fn_ter, fig1b, tables):
@@ -485,16 +487,16 @@ def test_threshold_builds_one_table(fn_ter, fig1b, tables):
 
 def test_weak_and_partition_build_one_table_per_variable(fig1b, tables):
     weak_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")))
-    assert tables == [("A",), ("A", "B"), ("A", "E")]
+    assert tables == [("A", "B"), ("A", "E")]
     tables.clear()
     relevance_partition(fig1b, {"C": "T"}, ("A",), ("B", "E"))
-    assert tables == [("A",), ("A", "B"), ("A", "E")]
+    assert tables == [("A", "B"), ("A", "E")]
 
 
 def test_maximum_builds_one_table_per_evaluated_subset(fig1b, tables):
     # (B,) qualifies and the extension (B, E) is evaluated and fails.
     maximum_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")), 1)
-    assert tables == [("A",), ("A", "B"), ("A", "B", "E")]
+    assert tables == [("A", "B"), ("A", "B", "E")]
 
 
 def infeasible_network():
@@ -534,13 +536,43 @@ def test_infeasible_evidence_raises(name):
         run_decider(name, infeasible_network())
 
 
-@pytest.mark.parametrize("name", [n for n in DECIDERS if n != "threshold"])
-def test_hypothesis_guard_wins_over_infeasible_evidence(name):
-    # |Omega(H)| = 2 > guard 1 is checked before the reference table is
-    # built, and its total is the infeasibility check.  (Threshold has no
-    # reference table.)
+@pytest.mark.parametrize(
+    "name, guard",
+    [pytest.param(n, 1, id=n) for n in DECIDERS if n != "threshold"]
+    + [pytest.param(n, 3, id=f"{n}-guard3") for n in DECIDERS if n != "threshold"],
+)
+def test_hypothesis_guard_wins_over_infeasible_evidence(name, guard):
+    # The guard passes the decider's table Pr(H, R, e) before it is built,
+    # and the table's total is the infeasibility check.  Guard 1 fails
+    # |Omega(H)| = 2; guard 3 admits |Omega(H)| but not the 4-cell table.
+    # (Threshold has no reference explanation.)
     with pytest.raises(CapacityError):
-        run_decider(name, infeasible_network(), guard=1)
+        run_decider(name, infeasible_network(), guard=guard)
+
+
+def test_guard_bounds_only_the_decider_table():
+    # Eliminating V0 for a table over V1 alone multiplies V0's bucket into
+    # a 2 * 3 * 2 * 2 = 24-entry factor over V0, V1, V2, V4; the table
+    # Pr(V1, V0, e) keeps V0, and its largest product has 12 entries.
+    two, three = ("s0", "s1"), ("s0", "s1", "s2")
+    net = Network(
+        "guarded",
+        (Variable("V0", two), Variable("V1", three), Variable("V2", two),
+         Variable("V4", two), Variable("V7", three)),
+        (
+            Cpt("V0", (), ((0.6, 0.4),)),
+            Cpt("V1", ("V0",), ((0.5, 0.3, 0.2), (0.1, 0.3, 0.6))),
+            Cpt("V2", (), ((0.3, 0.7),)),
+            Cpt("V4", ("V1",), ((0.9, 0.1), (0.4, 0.6), (0.2, 0.8))),
+            Cpt("V7", ("V0", "V2", "V4"), (
+                (0.2, 0.3, 0.5), (0.6, 0.2, 0.2), (0.1, 0.1, 0.8), (0.3, 0.4, 0.3),
+                (0.5, 0.4, 0.1), (0.2, 0.2, 0.6), (0.7, 0.1, 0.2), (0.4, 0.1, 0.5),
+            )),
+        ),
+    )
+    p = part({"V7": "s2"}, ("V1",), ("V0",))
+    for decide in (strong_map_independence, weak_map_independence):
+        assert replace(decide(net, p, guard=16), elapsed=0.0) == replace(decide(net, p), elapsed=0.0)
 
 
 def test_partition_rejects_evidence_on_hypothesis_before_any_table(fig1b, tables):
@@ -612,6 +644,47 @@ def test_dseparation_implies_strong_independence():
         assert report.verdict is True
         informative += 1
     assert informative >= 10
+
+
+def with_symmetric_variable(net, name):
+    """``net`` with ``name``'s states made interchangeable: uniform CPT rows,
+    and each child's rows copied from those where ``name`` takes state 0,
+    so that every Pr(H, e) with ``name`` in H ties exactly across its states."""
+    cpts = []
+    for cpt in net.cpts:
+        rows = cpt.rows
+        if cpt.child == name:
+            width = len(rows[0])
+            rows = tuple((1.0 / width,) * width for _ in rows)
+        elif name in cpt.parents:
+            cards = [net.cardinality(p) for p in cpt.parents]
+            pos = cpt.parents.index(name)
+            stride = math.prod(cards[pos + 1:])
+            rows = tuple(rows[i - (i // stride % cards[pos]) * stride] for i in range(len(rows)))
+        cpts.append(replace(cpt, rows=rows))
+    return replace(net, cpts=tuple(cpts))
+
+
+def test_witness_is_the_map_of_the_hypothesis():
+    rng = random.Random(409)
+    tied = 0
+    for trial in range(60):
+        net = random_network(rng, rng.randint(4, 9), max_states=3)
+        partition = random_partition(
+            rng, net, n_hypothesis=rng.randint(1, 2), n_focus=rng.randint(1, 3)
+        )
+        if trial % 2:
+            net = with_symmetric_variable(net, partition.hypothesis[0])
+        expected = map_solve(net, partition.hypothesis, partition.evidence)
+        tied += expected.tie
+        for report in (
+            strong_map_independence(net, partition),
+            weak_map_independence(net, partition),
+            maximum_map_independence(net, partition, 1),
+        ):
+            assert report.witness == expected.assignment
+            assert report.ties_encountered or not expected.tie
+    assert tied == 30
 
 
 def test_reports_deterministic_and_parallel_identical(fig1b):

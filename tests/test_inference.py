@@ -61,6 +61,17 @@ def test_joint_zero_entry_short_circuits(fn_ter):
     assert joint_probability(fn_ter, {"R": "T", "H": "h3"}) == 0.0
 
 
+def test_joint_is_the_exact_product_far_below_1e_300():
+    n = 1010
+    net = Network(
+        "roots",
+        tuple(Variable(f"X{i}", ("T", "F")) for i in range(n)),
+        tuple(Cpt(f"X{i}", (), ((0.5, 0.5),)) for i in range(n)),
+    )
+    full = {f"X{i}": "T" for i in range(n)}
+    assert joint_probability(net, full) == marginal(net, full, "brute") == marginal(net, full) == 2.0 ** -n
+
+
 def test_joint_rejects_partial(fig1b):
     with pytest.raises(InvalidQueryError):
         joint_probability(fig1b, {"A": "T"})
