@@ -397,7 +397,10 @@ def _parse_evidence(text: str | None) -> dict[str, str]:
         if "=" not in piece:
             raise InvalidQueryError(f"evidence must be VAR=STATE pairs, got {piece!r}")
         var, state = piece.split("=", 1)
-        out[var.strip()] = state.strip()
+        var = var.strip()
+        if var in out:
+            raise InvalidQueryError(f"evidence names {var!r} more than once")
+        out[var] = state.strip()
     return out
 
 

@@ -167,11 +167,8 @@ def _fold(
     Without ``h_star_idx``, h* is the first maximiser of the row sums
     Pr(H, e), whose tie flag starts ``ties``; a zero total means Pr(e) = 0.
     """
-    ranks = _guarded_count(net, focus, guard)
-    cells = assignment_count(net, hypothesis) * ranks
-    if cells > guard:
-        raise CapacityError(f"|Omega(H)| * |Omega(S)| = {cells} exceeds guard {guard}")
-    table = joint_table(net, hypothesis + focus, evidence, guard=guard).reshape(-1, ranks)
+    table = joint_table(net, hypothesis + focus, evidence, guard=guard)
+    table = table.reshape(assignment_count(net, hypothesis), -1)
     h_star_tie = False
     if h_star_idx is None:
         joints = table.sum(axis=1)
@@ -226,13 +223,6 @@ def _singleton_folds(
         fold = _fold(net, hypothesis, evidence, (var,), h_star_idx=h_star_idx, **fold_options)
         h_star_idx = fold.h_star
         yield var, fold
-
-
-def _guarded_count(net: Network, focus: tuple[str, ...], guard: int) -> int:
-    count = assignment_count(net, focus)
-    if count > guard:
-        raise CapacityError(f"|Omega(R)| = {count} exceeds guard {guard}")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +435,6 @@ def threshold_map_independence(
     if evidence and marginal(net, evidence) == 0.0:
         raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
 
-    _guarded_count(net, focus, guard)
     joints = joint_table(net, focus, {**evidence, **h_star}, guard=guard).ravel().tolist()
 
     verdict = True

@@ -98,13 +98,6 @@ def _restrict(f: Factor, var: str, idx: int) -> Factor:
     return Factor(f.scope[:axis] + f.scope[axis + 1:], np.take(f.values, idx, axis=axis))
 
 
-def _multiply(a: Factor, b: Factor) -> Factor:
-    # ``a``'s scope is a prefix of the product's, so trailing size-1 axes align it.
-    extra = tuple(v for v in b.scope if v not in a.scope)
-    scope = a.scope + extra
-    return Factor(scope, a.values.reshape(a.values.shape + (1,) * len(extra)) * _expand(b, scope))
-
-
 def _expand(f: Factor, scope: tuple[str, ...]) -> np.ndarray:
     # Transpose the factor's axes into their order of appearance in ``scope``,
     # then insert size-1 axes for the missing variables so broadcasting aligns.
@@ -116,9 +109,14 @@ def _expand(f: Factor, scope: tuple[str, ...]) -> np.ndarray:
     return values.reshape(full_shape)
 
 
-def _sum_out(f: Factor, var: str) -> Factor:
-    axis = f.scope.index(var)
-    return Factor(f.scope[:axis] + f.scope[axis + 1:], f.values.sum(axis=axis))
+def _product(factors: list[Factor], scope: tuple[str, ...]) -> np.ndarray:
+    # ``scope`` starts with the first factor's scope, so trailing size-1 axes
+    # align it; the others are multiplied in left to right.
+    first = factors[0].values
+    values = first.reshape(first.shape + (1,) * (len(scope) - first.ndim))
+    for f in factors[1:]:
+        values = values * _expand(f, scope)
+    return values
 
 
 def joint_table(
@@ -137,10 +135,11 @@ def joint_table(
     a barren CPT relies on its rows summing to 1, which ``validate_network``
     enforces within ``ROW_SUM_TOL``; on a network built without validation
     the table can differ from a full elimination by that row-sum slack.  An empty
-    ``keep`` gives a 0-d array holding Pr(partial).  Kept variables stay in
-    every bucket they touch, so a product can outgrow the final table; with
-    a ``guard``, a product of more than ``guard`` entries raises
-    CapacityError before it is allocated.
+    ``keep`` gives a 0-d array holding Pr(partial).  The elimination is
+    planned on scopes before any arithmetic.  Kept variables stay in every
+    bucket they touch, so a product can outgrow the final table; with a
+    ``guard``, a plan whose final table or any product of two or more factors
+    has more than ``guard`` entries raises CapacityError before any product.
     """
     keep = ordered_vars(net, keep)
     observed = {var: net.state_index(var, state) for var, state in partial.items()}
@@ -163,22 +162,32 @@ def joint_table(
     priority = {name: i for i, name in enumerate(net.names)}
     order, _ = min_fill_order(adjacency, priority)
 
+    # The plan, one step per bucket: the ids of the factors it multiplies (the
+    # restricted CPTs first, then each step's result), the product's scope in
+    # order of first appearance, and the variable summed out.
+    scopes = [f.scope for f in factors]
+    live = list(range(len(scopes)))
+    steps: list[tuple[list[int], tuple[str, ...], str]] = []
     for var in order:
-        bucket = [f for f in factors if var in f.scope]
-        factors = [f for f in factors if var not in f.scope]
-        factors.append(_sum_out(_product(net, bucket, guard), var))
-    return _expand(_product(net, [Factor((), np.array(1.0)), *factors], guard), keep)
+        ids = [i for i in live if var in scopes[i]]
+        live = [i for i in live if var not in scopes[i]]
+        scope = tuple(dict.fromkeys(v for i in ids for v in scopes[i]))
+        steps.append((ids, scope, var))
+        live.append(len(scopes))
+        scopes.append(tuple(v for v in scope if v != var))
+    final_scope = tuple(dict.fromkeys(v for i in live for v in scopes[i]))
+    if guard is not None:
+        for scope in [s for ids, s, _ in steps if len(ids) > 1] + [final_scope]:
+            size = math.prod(net.cardinality(v) for v in scope)
+            if size > guard:
+                raise CapacityError(f"elimination table of {size} entries exceeds guard {guard}")
 
-
-def _product(net: Network, factors: list[Factor], guard: int | None) -> Factor:
-    if guard is not None and len(factors) > 1:
-        size = math.prod(net.cardinality(v) for v in {v for f in factors for v in f.scope})
-        if size > guard:
-            raise CapacityError(f"elimination factor of {size} entries exceeds guard {guard}")
-    product = factors[0]
-    for f in factors[1:]:
-        product = _multiply(product, f)
-    return product
+    for ids, scope, var in steps:
+        product = _product([factors[i] for i in ids], scope)
+        factors.append(Factor(scopes[len(factors)], product.sum(axis=scope.index(var))))
+    one = Factor((), np.array(1.0))
+    final = Factor(final_scope, _product([one, *(factors[i] for i in live)], final_scope))
+    return _expand(final, keep)
 
 
 def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[bool]]:
@@ -257,10 +266,16 @@ def candidate_joints(
 ) -> list[float]:
     """Pr(h, context) for every h over ``hypothesis``, in canonical rank order.
 
-    ``guard`` bounds the factors of the ``"ve"`` table (see ``joint_table``).
+    ``guard`` bounds the ``"ve"`` table and its products (see ``joint_table``);
+    on the ``"brute"`` route it bounds the |Omega(V minus context)| chain-rule
+    products summed over all candidates' completions.
     """
     if method == "ve":
         return joint_table(net, hypothesis, context, guard=guard).ravel().tolist()
+    if method == "brute" and guard is not None:
+        completions = assignment_count(net, (v for v in net.names if v not in context))
+        if completions > guard:
+            raise CapacityError(f"brute enumeration of {completions} assignments exceeds guard {guard}")
     count = assignment_count(net, hypothesis)
     return [
         marginal(net, {**context, **assignment_at(net, hypothesis, rank)}, method)
@@ -299,9 +314,6 @@ def map_solve(
     if set(hyp) & set(context):
         raise InvalidQueryError("hypothesis overlaps the conditioning context")
 
-    count = assignment_count(net, hyp)
-    if count > guard:
-        raise CapacityError(f"|Omega(H)| = {count} exceeds guard {guard}")
     joints = candidate_joints(net, hyp, context, method, guard=guard)
     p_context = sum(joints)
     if p_context == 0.0:

@@ -392,13 +392,6 @@ def assignment_at(net: Network, vars_ordered: tuple[str, ...], rank: int) -> Ass
     return {name: out[name] for name in vars_ordered}
 
 
-def assignment_rank(net: Network, vars_ordered: tuple[str, ...], assignment: Mapping[str, str]) -> int:
-    rank = 0
-    for name in vars_ordered:
-        rank = rank * net.cardinality(name) + net.state_index(name, assignment[name])
-    return rank
-
-
 def enumerate_assignments(net: Network, vars: Iterable[str]) -> Iterator[Assignment]:
     """Yield every full assignment over ``vars`` exactly once, in row-major order.
 

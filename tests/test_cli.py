@@ -203,6 +203,12 @@ def test_map_unknown_state_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_map_evidence_naming_a_variable_twice_is_usage_error(capsys):
+    code = run(["map", "--network", FIG1B, "--hypothesis", "A", "--evidence", "C=T,C=F"])
+    assert code == EXIT_USAGE
+    assert "'C'" in capsys.readouterr().err
+
+
 def test_map_infeasible_evidence(tmp_path):
     net = Network(
         "copy",

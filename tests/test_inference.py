@@ -349,6 +349,48 @@ def test_map_fig1b_baseline(fig1b):
     assert result.runner_up_gap > 0
 
 
+def two_children():
+    # C has parents H, Y1 and D has parents H, Y2, Y3.  With both observed
+    # and H kept, Y1's bucket is a 4-entry product and Y2's an 8-entry one.
+    roots = ("H", "Y1", "Y2", "Y3")
+    return Network(
+        "two-children",
+        tuple(Variable(v, TF) for v in (*roots, "C", "D")),
+        (
+            *(Cpt(v, (), ((0.6 - 0.1 * i, 0.4 + 0.1 * i),)) for i, v in enumerate(roots)),
+            Cpt("C", ("H", "Y1"), ((0.9, 0.1), (0.3, 0.7), (0.2, 0.8), (0.6, 0.4))),
+            Cpt("D", ("H", "Y2", "Y3"), tuple((0.1 * (i + 1), 1 - 0.1 * (i + 1)) for i in range(8))),
+        ),
+    )
+
+
+def test_joint_table_guard_checked_before_any_product(monkeypatch):
+    net = two_children()
+    observed = {"C": "T", "D": "T"}
+    unguarded = joint_table(net, ("H",), observed)
+    expanded = []
+    original = inference._expand
+
+    def counting(f, scope):
+        expanded.append(f.scope)
+        return original(f, scope)
+
+    monkeypatch.setattr(inference, "_expand", counting)
+    with pytest.raises(CapacityError):
+        joint_table(net, ("H",), observed, guard=4)
+    assert expanded == []  # the 4-entry product over (H, Y1) was never formed
+    assert np.array_equal(joint_table(net, ("H",), observed, guard=8), unguarded)
+
+
+def test_map_guard_bounds_brute_enumeration(fig1b):
+    # With C observed, the brute route sums 8 chain-rule products, one per
+    # assignment to A, B and E; the elimination forms an 8-entry product.
+    for method in ("ve", "brute"):
+        with pytest.raises(CapacityError):
+            map_solve(fig1b, ("A",), {"C": "T"}, method=method, guard=7)
+        assert map_solve(fig1b, ("A",), {"C": "T"}, method=method, guard=8).assignment == {"A": "F"}
+
+
 def test_map_fn_ter_stable_under_conditioning(fn_ter):
     for r_state in ("T", "F"):
         result = map_solve(fn_ter, ("H",), conditioning={"R": r_state})

@@ -10,7 +10,6 @@ from mapindep.model import (
     Network,
     QueryPartition,
     Variable,
-    assignment_rank,
     d_separated,
     enumerate_assignments,
     min_fill_order,
@@ -323,7 +322,8 @@ def test_enumerate_counts_and_ranks(k):
     seen = set()
     for rank, assignment in enumerate(enumerate_assignments(net, names)):
         seen.add(tuple(assignment.items()))
-        assert assignment_rank(net, names, assignment) == rank
+        digits = "".join(str(net.state_index(name, assignment[name])) for name in names)
+        assert int(digits, 2) == rank
     assert len(seen) == 2 ** k
 
 
