@@ -84,22 +84,28 @@ QUERY_MODES = ("map", "strong", "weak", "maximum", "threshold", "quantify", "par
 #
 # json.dump renders floats with the shortest round-tripping repr; reports
 # pin 17 significant digits instead, so the writer below is used for every
-# document this tool produces.
+# document this tool produces.  The report types (str, float, dict, list,
+# tuple) are dispatched on their exact type; anything else, subclasses
+# included, takes the isinstance chain.  Strings are quoted as json.dumps
+# quotes them.
+
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _emit(value: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is dict:
+        return _emit_mapping(value, indent)
+    if kind is list or kind is tuple:
+        return _emit_sequence(value, indent)
     if isinstance(value, Mapping):
-        if not value:
-            return "{}"
-        items = ",\n".join(f"{inner}{json.dumps(str(k))}: {_emit(v, indent + 1)}" for k, v in value.items())
-        return "{\n" + items + "\n" + pad + "}"
+        return _emit_mapping(value, indent)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_emit(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
+        return _emit_sequence(value, indent)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -107,10 +113,26 @@ def _emit(value: Any, indent: int = 0) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, Fraction):
-        return json.dumps(f"{value.numerator}/{value.denominator}")
+        return _quote(f"{value.numerator}/{value.denominator}")
     if value is None:
         return "null"
     return json.dumps(value)
+
+
+def _emit_mapping(value: Mapping, indent: int) -> str:
+    if not value:
+        return "{}"
+    inner = "  " * (indent + 1)
+    items = ",\n".join(f"{inner}{_quote(str(k))}: {_emit(v, indent + 1)}" for k, v in value.items())
+    return "{\n" + items + "\n" + "  " * indent + "}"
+
+
+def _emit_sequence(value: list | tuple, indent: int) -> str:
+    if not value:
+        return "[]"
+    inner = "  " * (indent + 1)
+    items = ",\n".join(f"{inner}{_emit(v, indent + 1)}" for v in value)
+    return "[\n" + items + "\n" + "  " * indent + "]"
 
 
 def emit_json(value: Any) -> str:

@@ -7,25 +7,30 @@ every joint assignment to R; the weak decider checks each focus variable
 on its own; the maximum search looks for a largest subset of a candidate
 pool from which H is strongly independent.
 
-Every decider is a reduction over one table Pr(H, S, e) built by
-``inference.joint_table``, where S is the focus set, a single focus
-variable or a candidate subset.  Each column (one assignment s) yields its
-first maximiser and tie flag, by the rule ``map_solve`` also applies, its
-total Pr(s, e) and the entry of the reference explanation h*; the columns
-are folded in canonical row-major order, and the first differing
-assignment is the counterexample.  Zero-probability (s, e)
-combinations cannot be observed, so by default they are skipped and
-listed in the report; ``strict_zeros`` turns them into an
-InfeasibleQueryError instead.
+Every decider is a reduction over tables Pr(H, S, e) built by
+``inference.joint_table``.  Strong and quantify build one, S = R.  Weak,
+partition and maximum ask the same question of many focus subsets S of one
+set F (the focus set, the candidates or the pool): they build Pr(H, F, e)
+once, and each S's table is its sum over F minus S.  That holds while the
+table has at most ``_JOINT_CELLS`` cells and its plan passes the guard;
+otherwise each S gets its own elimination, so a focus set too large for one
+joint table is still answered variable by variable.  Each column (one
+assignment s) yields its first maximiser and tie flag, by the rule
+``map_solve`` also applies, its total Pr(s, e) and the entry of the
+reference explanation h*; the columns are folded in canonical row-major
+order, and the first differing assignment is the counterexample.
+Zero-probability (s, e) combinations cannot be observed, so by default
+they are skipped and listed in the report; ``strict_zeros`` turns them into
+an InfeasibleQueryError instead.
 
-h* = argmax_H Pr(H, e) comes from the first table a decider builds: its
-row sums are Pr(H, e), reduced by the same tie rule, and their total is
+h* = argmax_H Pr(H, e) comes from the first subset table a decider folds:
+its row sums are Pr(H, e), reduced by the same tie rule, and their total is
 Pr(e), so a zero total is the check for infeasible evidence.  It runs
-after the guard has passed that table and its elimination, and later
-tables (weak, partition, maximum) reuse the rank.  No decider eliminates
-for h* or Pr(e) on its own; only quantify's ``mass`` eliminates for
-Pr(e), and ``threshold``, which has no reference explanation, checks it
-separately.
+after the guard has passed the table's elimination, and later subsets
+(weak, partition, maximum) reuse the rank.  No decider eliminates for h*
+or Pr(e) on its own; only quantify's ``mass`` eliminates for Pr(e), and
+``threshold``, which has no reference explanation, checks Pr(e) with a
+guarded elimination after its table's.
 
 The ``workers`` keyword is accepted for compatibility and ignored: a query
 is one elimination, so there is no sweep to split.
@@ -38,7 +43,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError
 from .inference import (
@@ -60,6 +67,15 @@ from .model import (
 )
 
 TIE_WARNING = "tie-ambiguous"
+
+# Weak, partition and maximum build one table Pr(H, F, e) and sum each focus
+# subset's table out of it while |Omega(H)| * |Omega(F)| is at most this many
+# cells, and eliminate per subset above it.  The bound is the measured
+# crossover: on four 30-node random binary networks with |H| = 1, the one
+# table was faster for weak, partition and maximum (k = 2) in 12 of 12 cases
+# at 2^13 cells, 8 of 12 at 2^14, 5 of 12 at 2^15, 2 of 12 at 2^16 and none
+# at 2^17.
+_JOINT_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -151,15 +167,15 @@ def _fold(
     hypothesis: tuple[str, ...],
     evidence: Assignment,
     focus: tuple[str, ...],
+    table: np.ndarray,
     *,
     h_star_idx: int | None = None,
     tie_tol: float,
-    guard: int,
     strict_zeros: bool,
     stop_early: bool,
     table_limit: int | None = None,
 ) -> _Fold:
-    """Fold the columns of one table Pr(H, S, e), S = ``focus``, in canonical rank order.
+    """Fold the columns of ``table`` = Pr(H, S, e), S = ``focus``, in canonical rank order.
 
     Each column gives its first maximiser and tie flag (``_column_argmax``),
     Pr(h*, s, e) and its total Pr(s, e); the first column whose maximiser
@@ -167,7 +183,6 @@ def _fold(
     Without ``h_star_idx``, h* is the first maximiser of the row sums
     Pr(H, e), whose tie flag starts ``ties``; a zero total means Pr(e) = 0.
     """
-    table = joint_table(net, hypothesis + focus, evidence, guard=guard)
     table = table.reshape(assignment_count(net, hypothesis), -1)
     h_star_tie = False
     if h_star_idx is None:
@@ -210,17 +225,46 @@ def _fold(
     return fold
 
 
+def _subset_tables(
+    net: Network,
+    hypothesis: tuple[str, ...],
+    evidence: Assignment,
+    focus: tuple[str, ...],
+    guard: int,
+) -> Callable[[tuple[str, ...]], np.ndarray]:
+    """A function giving Pr(H, S, e), axes H then S, for subsets S of ``focus``.
+
+    While |Omega(H)| * |Omega(F)| is at most ``_JOINT_CELLS`` and the plan
+    of Pr(H, F, e), F = ``focus``, passes the guard, that one table is built
+    here and each S's table is its sum over F minus S.  Otherwise each call
+    eliminates for S alone, which is how a focus set whose joint table
+    exceeds the guard is still answered.
+    """
+    if assignment_count(net, hypothesis + focus) <= _JOINT_CELLS:
+        try:
+            joint = joint_table(net, hypothesis + focus, evidence, guard=guard)
+        except CapacityError:
+            pass
+        else:
+            first = len(hypothesis)
+            return lambda subset: joint.sum(axis=tuple(first + i for i, v in enumerate(focus) if v not in subset))
+    return lambda subset: joint_table(net, hypothesis + subset, evidence, guard=guard)
+
+
 def _singleton_folds(
     net: Network,
     hypothesis: tuple[str, ...],
     evidence: Assignment,
     focus: tuple[str, ...],
+    *,
+    guard: int,
     **fold_options,
 ) -> Iterator[tuple[str, _Fold]]:
     """(R_i, fold of Pr(H, R_i, e)) per focus variable in canonical order; the first finds h*."""
+    table_of = _subset_tables(net, hypothesis, evidence, focus, guard)
     h_star_idx = None
     for var in focus:
-        fold = _fold(net, hypothesis, evidence, (var,), h_star_idx=h_star_idx, **fold_options)
+        fold = _fold(net, hypothesis, evidence, (var,), table_of((var,)), h_star_idx=h_star_idx, **fold_options)
         h_star_idx = fold.h_star
         yield var, fold
 
@@ -255,8 +299,8 @@ def strong_map_independence(
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
     fold = _fold(
-        net, hypothesis, evidence, focus,
-        tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, table_limit=table_limit,
+        net, hypothesis, evidence, focus, joint_table(net, hypothesis + focus, evidence, guard=guard),
+        tie_tol=tie_tol, strict_zeros=strict_zeros, table_limit=table_limit,
         stop_early=short_circuit and not with_metrics and table_limit is None,
     )
 
@@ -296,9 +340,12 @@ def weak_map_independence(
 ) -> IndependenceReport:
     """Strong MAP-independence checked per focus variable, one at a time.
 
-    One table Pr(H, R_i, e) per focus variable, so the work grows with the
-    sum of the focus cardinalities rather than their product; interaction
-    effects between focus variables are deliberately not visible here.
+    Each focus variable R_i is folded over its own table Pr(H, R_i, e), so
+    interaction effects between focus variables are deliberately not
+    visible here.  The tables are sums over one Pr(H, R, e) while that has
+    at most ``_JOINT_CELLS`` cells and fits the guard; above that each R_i
+    gets its own elimination, so the work grows with the sum of the focus
+    cardinalities rather than their product.
     """
     started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
@@ -347,8 +394,10 @@ def maximum_map_independence(
     hit is greedily extended to a maximal qualifying set.  Known-failing
     subsets prune their supersets.  Both the extension and the pruning rely
     on downward closure, which ties can break, so they are disabled as soon
-    as a tie is encountered.  Each evaluated subset S is one table
-    Pr(H, S, e).
+    as a tie is encountered.  Each evaluated subset S is folded over its
+    table Pr(H, S, e): a sum over one table Pr(H, pool, e) while that has
+    at most ``_JOINT_CELLS`` cells and fits the guard, else its own
+    elimination.
     """
     started = time.perf_counter()
     hypothesis, evidence, pool = resolve_partition(net, partition)
@@ -358,6 +407,7 @@ def maximum_map_independence(
         raise InvalidQueryError(f"k must be between 1 and {len(pool)}, got {k}")
     if math.comb(len(pool), k) > guard:
         raise CapacityError(f"C({len(pool)}, {k}) exceeds guard {guard}")
+    table_of = _subset_tables(net, hypothesis, evidence, pool, guard)
     h_star_idx: int | None = None  # found by the first subset evaluated
     ties = False
     failing: list[frozenset[str]] = []
@@ -368,8 +418,8 @@ def maximum_map_independence(
     def independent(subset: tuple[str, ...]) -> bool:
         nonlocal h_star_idx, ties
         fold = _fold(
-            net, hypothesis, evidence, subset, h_star_idx=h_star_idx,
-            tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, stop_early=True,
+            net, hypothesis, evidence, subset, table_of(subset), h_star_idx=h_star_idx,
+            tie_tol=tie_tol, strict_zeros=strict_zeros, stop_early=True,
         )
         h_star_idx = fold.h_star
         ties = ties or fold.ties
@@ -432,10 +482,10 @@ def threshold_map_independence(
     check_assignment(net, h_star)
     if not 0 <= s < 1:
         raise InvalidQueryError(f"threshold s must be in [0, 1), got {s}")
-    if evidence and marginal(net, evidence) == 0.0:
-        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
 
     joints = joint_table(net, focus, {**evidence, **h_star}, guard=guard).ravel().tolist()
+    if evidence and joint_table(net, (), evidence, guard=guard) == 0.0:
+        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
 
     verdict = True
     counterexample = None

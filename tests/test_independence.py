@@ -478,25 +478,137 @@ def test_strong_and_quantify_build_one_table(fig1b, tables):
 
 
 def test_threshold_builds_one_table(fn_ter, fig1b, tables):
+    # The table comes first, so its guard is checked before Pr(e) is eliminated.
     threshold_map_independence(fn_ter, {"H": "h1"}, part({}, ("H",), ("R",)), 0.1)
     assert tables == [("R",)]
     tables.clear()
     threshold_map_independence(fig1b, {"A": "T"}, part({"C": "T"}, ("A",), ("E", "B")), 0.1)
-    assert tables == [(), ("B", "E")]
+    assert tables == [("B", "E"), ()]
 
 
-def test_weak_and_partition_build_one_table_per_variable(fig1b, tables):
+def test_threshold_over_guard_forms_no_product(fig1b, monkeypatch):
+    products = []
+    product = inference._product
+
+    def counting(factors, scope):
+        products.append(scope)
+        return product(factors, scope)
+
+    monkeypatch.setattr(inference, "_product", counting)
+    with pytest.raises(CapacityError):
+        threshold_map_independence(fig1b, {"A": "T"}, part({"C": "T"}, ("A",), ("E", "B")), 0.1, guard=3)
+    assert products == []
+
+
+# Weak, partition and maximum sum every focus subset's table out of one
+# table Pr(H, F, e) over the focus set, the candidates or the pool.
+
+
+def test_weak_and_partition_build_one_table(fig1b, tables):
     weak_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")))
-    assert tables == [("A", "B"), ("A", "E")]
+    assert tables == [("A", "B", "E")]
     tables.clear()
     relevance_partition(fig1b, {"C": "T"}, ("A",), ("B", "E"))
-    assert tables == [("A", "B"), ("A", "E")]
+    assert tables == [("A", "B", "E")]
 
 
-def test_maximum_builds_one_table_per_evaluated_subset(fig1b, tables):
+def test_maximum_builds_one_table(fig1b, tables):
     # (B,) qualifies and the extension (B, E) is evaluated and fails.
     maximum_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")), 1)
-    assert tables == [("A", "B"), ("A", "B", "E")]
+    assert tables == [("A", "B", "E")]
+
+
+def naive_bayes_network():
+    # H with an observed child E and three focus children: R1 barely depends
+    # on H, while R2 and R3 = F each overturn the prior MAP H = T.  Every
+    # other child is barren for a table over H and one or two focus
+    # children, so those tables have 4 or 8 entries and their products no
+    # more; the table over all three has 16.
+    weak_link = ((0.5, 0.5), (0.52, 0.48))
+    strong_link = ((0.9, 0.1), (0.1, 0.9))
+    return Network(
+        "naive",
+        (Variable("H", TF), Variable("E", TF), Variable("R1", TF), Variable("R2", TF), Variable("R3", TF)),
+        (
+            Cpt("H", (), ((0.6, 0.4),)),
+            Cpt("E", ("H",), ((0.7, 0.3), (0.4, 0.6))),
+            Cpt("R1", ("H",), weak_link),
+            Cpt("R2", ("H",), strong_link),
+            Cpt("R3", ("H",), strong_link),
+        ),
+    )
+
+
+def comparable(report):
+    return (report.verdict, report.witness, report.counterexample, report.subset,
+            report.skipped, report.ties_encountered)
+
+
+def test_subsets_get_their_own_tables_above_the_guard(tables):
+    # Guard 8 refuses the 16-entry table over H, R1, R2, R3 on its plan,
+    # before any product, and admits every subset's table: each subset is
+    # then answered from its own elimination, as the default guard answers
+    # it from sums over the one table.
+    net = naive_bayes_network()
+    p = part({"E": "T"}, ("H",), ("R1", "R2", "R3"))
+    weak = weak_map_independence(net, p, guard=8)
+    assert tables == [("H", "R1", "R2", "R3"), ("H", "R1"), ("H", "R2")]
+    assert comparable(weak) == comparable(weak_map_independence(net, p))
+    assert weak.counterexample == {"R2": "F"}
+
+    tables.clear()
+    split = relevance_partition(net, p.evidence, p.hypothesis, p.focus, guard=8)
+    assert tables == [("H", "R1", "R2", "R3"), ("H", "R1"), ("H", "R2"), ("H", "R3")]
+    assert split == relevance_partition(net, p.evidence, p.hypothesis, p.focus)
+    assert split.irrelevant == ("R1",)
+
+    tables.clear()
+    best = maximum_map_independence(net, p, 1, guard=8)
+    assert tables == [("H", "R1", "R2", "R3"), ("H", "R1"), ("H", "R1", "R2"), ("H", "R1", "R3")]
+    assert comparable(best) == comparable(maximum_map_independence(net, p, 1))
+    assert best.subset == ("R1",)
+
+
+def test_one_table_and_per_subset_tables_agree(monkeypatch):
+    # The same queries with every subset eliminated on its own (cell bound
+    # 0) and summed out of one table (the default bound), cross-checked
+    # against the strong definition by full enumeration.
+    rng = random.Random(1207)
+    default_bound = independence._JOINT_CELLS
+    informative = 0
+    for trial in range(50):
+        net = random_network(rng, rng.randint(4, 7), max_states=3 if trial % 2 else 2)
+        p = random_partition(rng, net, n_hypothesis=rng.randint(1, 2), n_focus=rng.randint(2, 4))
+        h, e, f = p.hypothesis, p.evidence, p.focus
+        runs = []
+        for bound in (0, default_bound):
+            monkeypatch.setattr(independence, "_JOINT_CELLS", bound)
+            runs.append((
+                weak_map_independence(net, p),
+                weak_map_independence(net, p, table_limit=64),
+                maximum_map_independence(net, p, 1),
+                relevance_partition(net, e, h, f),
+            ))
+        (weak, table, best, split), one_table = runs
+        assert [comparable(r) for r in (weak, table, best)] == [comparable(r) for r in one_table[:3]]
+        assert split == one_table[3]
+        rows, one_table_rows = table.per_assignment, one_table[1].per_assignment
+        assert [(r.assignment, r.map_assignment) for r in rows] == [
+            (r.assignment, r.map_assignment) for r in one_table_rows
+        ]
+        for row, one_table_row in zip(rows, one_table_rows):
+            assert one_table_row.h_star_joint == pytest.approx(row.h_star_joint, rel=1e-12, abs=0.0)
+
+        if weak.ties_encountered or best.ties_encountered:
+            continue
+        informative += 1
+        singletons = {var: brute_strong(net, h, e, (var,)) for var in sorted(f, key=net.declaration_index)}
+        first_failing = next((c for v, c in singletons.values() if not v), None)
+        assert (weak.verdict, weak.counterexample) == (first_failing is None, first_failing)
+        assert {var: (j.map_independent, j.counterexample) for var, j in split.justification.items()} == singletons
+        if best.verdict:
+            assert brute_strong(net, h, e, best.subset) == (True, None)
+    assert informative >= 40
 
 
 def infeasible_network():
@@ -538,14 +650,15 @@ def test_infeasible_evidence_raises(name):
 
 @pytest.mark.parametrize(
     "name, guard",
-    [pytest.param(n, 1, id=n) for n in DECIDERS if n != "threshold"]
+    [pytest.param(n, 1, id=n) for n in DECIDERS]
     + [pytest.param(n, 3, id=f"{n}-guard3") for n in DECIDERS if n != "threshold"],
 )
 def test_hypothesis_guard_wins_over_infeasible_evidence(name, guard):
     # The guard passes the decider's table Pr(H, R, e) before it is built,
     # and the table's total is the infeasibility check.  Guard 1 fails
     # |Omega(H)| = 2; guard 3 admits |Omega(H)| but not the 4-cell table.
-    # (Threshold has no reference explanation.)
+    # Threshold builds its table Pr(h*, R, e) before it eliminates for
+    # Pr(e): guard 1 fails the 2-cell table, and guard 3 admits it.
     with pytest.raises(CapacityError):
         run_decider(name, infeasible_network(), guard=guard)
 
