@@ -166,18 +166,18 @@ def network_from_document(doc: Any) -> Network:
         raise DocumentError("network document must be a JSON object")
     try:
         name = doc["name"]
-        variables = tuple(
-            Variable(str(v["name"]), tuple(str(s) for s in _array(v["states"], "states")))
+        variables = tuple([
+            Variable(str(v["name"]), tuple(map(str, _array(v["states"], "states"))))
             for v in _array(doc["variables"], "variables")
-        )
-        cpts = tuple(
+        ])
+        cpts = tuple([
             Cpt(
                 str(c["variable"]),
-                tuple(str(p) for p in _array(c["parents"], "parents")),
-                tuple(tuple(map(float, _array(row, "table row"))) for row in _array(c["table"], "table")),
+                tuple(map(str, _array(c["parents"], "parents"))),
+                tuple([tuple(map(float, _array(row, "table row"))) for row in _array(c["table"], "table")]),
             )
             for c in _array(doc["cpts"], "cpts")
-        )
+        ])
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed network document: {exc}") from exc
     return Network(name=str(name), variables=variables, cpts=cpts)

@@ -391,13 +391,13 @@ def maximum_map_independence(
     the hypothesis is strongly MAP-independent.
 
     Size-k subsets are tried in canonical (lexicographic) order; the first
-    hit is greedily extended to a maximal qualifying set.  Known-failing
-    subsets prune their supersets.  Both the extension and the pruning rely
-    on downward closure, which ties can break, so they are disabled as soon
-    as a tie is encountered.  Each evaluated subset S is folded over its
-    table Pr(H, S, e): a sum over one table Pr(H, pool, e) while that has
-    at most ``_JOINT_CELLS`` cells and fits the guard, else its own
-    elimination.
+    hit is greedily extended to a maximal qualifying set.  During the
+    extension, a known-failing subset prunes every superset of it.  Both
+    the extension and the pruning rely on downward closure, which ties can
+    break, so the extension stops as soon as a tie is encountered.  Each
+    evaluated subset S is folded over its table Pr(H, S, e): a sum over one
+    table Pr(H, pool, e) while that has at most ``_JOINT_CELLS`` cells and
+    fits the guard, else its own elimination.
     """
     started = time.perf_counter()
     hypothesis, evidence, pool = resolve_partition(net, partition)
@@ -429,8 +429,6 @@ def maximum_map_independence(
 
     best: tuple[str, ...] | None = None
     for subset in combinations(pool, k):
-        if not ties and pruned(subset):
-            continue
         if independent(subset):
             best = subset
             break

@@ -20,8 +20,9 @@ import heapq
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import prod
+from operator import lt, sub
 
 from .errors import InvalidQueryError, NetworkValidationError
 
@@ -174,6 +175,66 @@ def validate_network(net: Network) -> list[Violation]:
     references, bad shapes, cycles) and probabilistic ones (entries outside
     [0, 1], NaN included, rows not summing to 1 within ``ROW_SUM_TOL``) are
     all reported with their location.
+
+    A network is first checked whole, by ``_holds_everywhere``: one predicate
+    per invariant, each over the whole network at once.  Only when one of
+    them fails (or raises, say on a non-numeric entry) does the locating
+    pass, ``_locate_violations``, walk every CPT row to find and phrase what
+    is wrong; its result, exceptions included, is the answer.
+    """
+    try:
+        if _holds_everywhere(net):
+            return []
+    except Exception:
+        pass  # the locating pass raises it again, or says where the fault lies
+    return _locate_violations(net)
+
+
+def _holds_everywhere(net: Network) -> bool:
+    # True only if _locate_violations(net) would return []: each test below is
+    # the conjunction of one of its per-variable, per-CPT or per-row checks.
+    names = [v.name for v in net.variables]
+    states = [v.states for v in net.variables]
+    cards = dict(zip(names, map(len, states)))
+    cpts = net.cpts
+    children = [c.child for c in cpts]
+    parents = [c.parents for c in cpts]
+    tables = [c.rows for c in cpts]
+    if not (
+        len(cards) == len(names) == len(children)
+        and min(cards.values()) >= 2
+        and list(map(len, map(set, states))) == list(map(len, states))
+        and set(children) == cards.keys()
+        and cards.keys() >= set(chain.from_iterable(parents))
+        and list(map(len, map(set, parents))) == list(map(len, parents))
+    ):
+        return False
+    child_cards = list(map(cards.__getitem__, children))
+    row_counts = list(map(len, tables))
+    if row_counts != [prod(map(cards.__getitem__, ps)) for ps in parents]:
+        return False
+    rows = list(chain.from_iterable(tables))
+    if list(map(len, rows)) != list(chain.from_iterable(map(repeat, child_cards, row_counts))):
+        return False
+    entries = list(chain.from_iterable(rows))
+    total = sum(entries)  # NaN if any entry is NaN, which min and max may miss
+    if not (total == total and 0.0 <= min(entries) and max(entries) <= 1.0):
+        return False
+    if max(map(abs, map(sub, map(sum, rows), repeat(1.0)))) > ROW_SUM_TOL:
+        return False
+    # Acyclic: every parent declared before its child, or else no cycle found.
+    index = net._var_index
+    parent_at = map(index.__getitem__, chain.from_iterable(parents))
+    child_at = chain.from_iterable(map(repeat, map(index.__getitem__, children), map(len, parents)))
+    return all(map(lt, parent_at, child_at)) or _find_cycle(net) is None
+
+
+def _locate_violations(net: Network) -> list[Violation]:
+    """``validate_network``'s answer, found by checking every CPT row in turn.
+
+    Each violation is located and phrased as it is found, in declaration
+    order: variables, then CPTs row by row, then missing CPTs, then one
+    cycle.
     """
     out: list[Violation] = []
     seen_vars: set[str] = set()

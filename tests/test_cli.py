@@ -307,6 +307,42 @@ def test_query_missing_mode_field(tmp_path):
     assert run(["query", "--network", FIG1B, "--query", bad, "--output", str(out)]) == EXIT_USAGE
 
 
+STRONG_QUERY = {"mode": "strong", "hypothesis": ["A"], "evidence": {"C": "T"}, "focus": ["B", "E"]}
+
+
+@pytest.mark.parametrize("network, message", [
+    (["fig1b"], "network document must be a JSON object"),
+    ({"name": "fig1b", "variables": []}, "malformed network document: 'cpts'"),
+])
+def test_query_rejects_malformed_network_document(tmp_path, capsys, network, message):
+    net = write_query(tmp_path, "net.json", network)
+    query = write_query(tmp_path, "q.json", STRONG_QUERY)
+    out = tmp_path / "r.json"
+    assert run(["query", "--network", net, "--query", query, "--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("query, message", [
+    (["strong"], "query document must be a JSON object"),
+    ({**STRONG_QUERY, "mode": "explain"},
+     "mode must be one of ('map', 'strong', 'weak', 'maximum', 'threshold', 'quantify', 'partition'), "
+     "got 'explain'"),
+    ({**STRONG_QUERY, "hypothesis": "A"}, "hypothesis must be a list of strings"),
+    ({**STRONG_QUERY, "hypothesis": ["A", 1]}, "hypothesis must be a list of strings"),
+    ({**STRONG_QUERY, "evidence": {"C": 1}}, "evidence must map variable names to state names"),
+    ({**STRONG_QUERY, "evidence": ["C", "T"]}, "evidence must map variable names to state names"),
+    ({**STRONG_QUERY, "mode": "maximum", "k": 1.0}, "k must be an integer"),
+    ({**STRONG_QUERY, "mode": "maximum", "k": True}, "k must be an integer"),
+])
+def test_query_rejects_malformed_query_document(tmp_path, capsys, query, message):
+    path = write_query(tmp_path, "q.json", query)
+    out = tmp_path / "r.json"
+    assert run(["query", "--network", FIG1B, "--query", path, "--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_query_table_limit(tmp_path):
     out = tmp_path / "r.json"
     query = write_query(tmp_path, "q.json", {

@@ -259,6 +259,27 @@ def test_maximum_greedy_extension_grows_to_maximal():
     assert report.subset == ("X", "Y", "Z")
 
 
+def test_maximum_greedy_extension_stops_at_a_tie():
+    # Pr(H=T, Y=T) = 0.75 * 0.25 = Pr(H=F, Y=T) = 0.25 * 0.75, exactly: adding Y ties a
+    # column.  The extension keeps {X, Y} (h* is still the first maximiser) and then
+    # stops, so Z, which would also qualify, is never tried.
+    net = Network(
+        "tie",
+        (Variable("H", TF), Variable("X", TF), Variable("Y", TF), Variable("Z", TF)),
+        (
+            Cpt("H", (), ((0.75, 0.25),)),
+            Cpt("X", (), ((0.5, 0.5),)),
+            Cpt("Y", ("H",), ((0.25, 0.75), (0.75, 0.25))),
+            Cpt("Z", (), ((0.25, 0.75),)),
+        ),
+    )
+    report = maximum_map_independence(net, part({}, ("H",), ("X", "Y", "Z")), 1)
+    assert report.verdict is True
+    assert report.subset == ("X", "Y")
+    assert report.ties_encountered is True
+    assert report.warning is not None
+
+
 def test_maximum_k_bounds(fig1b):
     with pytest.raises(InvalidQueryError):
         maximum_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")), 0)

@@ -10,6 +10,9 @@ from mapindep.model import (
     Network,
     QueryPartition,
     Variable,
+    Violation,
+    _holds_everywhere,
+    _locate_violations,
     d_separated,
     enumerate_assignments,
     min_fill_order,
@@ -19,7 +22,7 @@ from mapindep.model import (
     topological_order,
     validate_network,
 )
-from netgen import random_network
+from netgen import corrupted_network, random_network
 from oracles import brute_min_fill_order, chain_product
 
 TF = ("T", "F")
@@ -124,6 +127,53 @@ def test_violation_locations():
         ("probability_range", "cpt B row 1"),
         ("row_sum", "cpt B row 1"),
     ]
+
+
+def test_duplicate_state_and_parent_located():
+    net = Network(
+        "dups",
+        (Variable("A", ("T", "T")), Variable("B", TF)),
+        (Cpt("A", (), ((0.5, 0.5),)), Cpt("B", ("A", "A"), ((0.5, 0.5),) * 4)),
+    )
+    assert validate_network(net) == [
+        Violation("duplicate_state", "variable A", "state names not unique"),
+        Violation("duplicate_parent", "cpt B", "parent listed twice"),
+    ]
+
+
+ALL_CODES = {
+    "duplicate_variable", "too_few_states", "duplicate_state", "unknown_child", "duplicate_cpt",
+    "dangling_parent", "duplicate_parent", "shape", "probability_range", "row_sum", "missing_cpt",
+    "cycle",
+}
+
+
+def _outcome(check, net):
+    try:
+        return check(net)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_whole_network_check_agrees_with_the_locating_pass():
+    # validate_network answers [] from whole-network checks and falls back to the
+    # per-row pass otherwise: the same violations in the same order, or the same error.
+    codes = set()
+    for seed in range(2000):
+        net = corrupted_network(random.Random(seed))
+        expected = _outcome(_locate_violations, net)
+        assert _outcome(validate_network, net) == expected, seed
+        if expected == []:
+            assert _holds_everywhere(net), seed  # a valid network never takes the slow path
+        elif isinstance(expected, list):
+            codes.update(v.code for v in expected)
+    assert codes == ALL_CODES
+
+
+def test_whole_network_check_passes_the_fixtures(fig1a, fig1b, fn_bin, fn_ter):
+    # fig1a and fig1b declare children before parents, so acyclicity takes the DFS.
+    for net in (fig1a, fig1b, fn_bin, fn_ter):
+        assert _holds_everywhere(net)
 
 
 def test_missing_and_duplicate_cpts():
