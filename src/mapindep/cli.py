@@ -183,17 +183,21 @@ def network_from_document(doc: Any) -> Network:
     return Network(name=str(name), variables=variables, cpts=cpts)
 
 
-def load_network(path: str | Path, validate: bool = True) -> Network:
-    """Read and (by default) re-validate a network document."""
+def _read_json(path: str | Path) -> Any:
+    """The parsed JSON document at ``path``; an unreadable file or bad JSON is a DocumentError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    net = network_from_document(doc)
+
+
+def load_network(path: str | Path, validate: bool = True) -> Network:
+    """Read and (by default) re-validate a network document."""
+    net = network_from_document(_read_json(path))
     if validate:
         violations = validate_network(net)
         if violations:
@@ -224,14 +228,7 @@ def parse_threshold(value: Any) -> float | Fraction:
 
 
 def load_query(path: str | Path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, Mapping):
         raise DocumentError("query document must be a JSON object")
     mode = doc.get("mode")

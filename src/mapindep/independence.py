@@ -234,13 +234,13 @@ def _subset_tables(
 ) -> Callable[[tuple[str, ...]], np.ndarray]:
     """A function giving Pr(H, S, e), axes H then S, for subsets S of ``focus``.
 
-    While |Omega(H)| * |Omega(F)| is at most ``_JOINT_CELLS`` and the plan
-    of Pr(H, F, e), F = ``focus``, passes the guard, that one table is built
-    here and each S's table is its sum over F minus S.  Otherwise each call
-    eliminates for S alone, which is how a focus set whose joint table
-    exceeds the guard is still answered.
+    While |Omega(H)| * |Omega(F)| is at most ``_JOINT_CELLS`` and the guard,
+    and the plan of Pr(H, F, e), F = ``focus``, passes the guard, that one
+    table is built here and each S's table is its sum over F minus S.
+    Otherwise each call eliminates for S alone, which is how a focus set
+    whose joint table exceeds the guard is still answered.
     """
-    if assignment_count(net, hypothesis + focus) <= _JOINT_CELLS:
+    if assignment_count(net, hypothesis + focus) <= min(_JOINT_CELLS, guard):
         try:
             joint = joint_table(net, hypothesis + focus, evidence, guard=guard)
         except CapacityError:

@@ -10,9 +10,9 @@ since CPT rows sum to 1 (``validate_network`` checks this within
 (Baker & Boult, UAI 1990).  The remaining variables that are neither
 observed nor kept are summed out along a min-fill order.  A marginal is
 the table over no variables; the MAP solver takes the first maximiser of
-the table over the hypothesis.  A second route enumerates completions of
-the query assignment and is kept as a deliberately simple cross-check
-(``method="brute"``).  Both are exact up to floating point and agree
+the table over the hypothesis.  A deliberately simple cross-check
+(``method="brute"``) builds the same tables by summing chain-rule products
+over each cell's completions.  Both are exact up to floating point and agree
 within 1e-9 on the network sizes this package targets.
 
 Arithmetic is plain double precision on both routes, with no underflow
@@ -39,6 +39,7 @@ from .model import (
     assignment_count,
     canonical_vars,
     check_assignment,
+    enumerate_assignments,
     min_fill_order,
     ordered_vars,
 )
@@ -201,16 +202,20 @@ def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[b
     return argmax.tolist(), near.any(axis=0).tolist()
 
 
-def _brute_marginal(net: Network, partial: Mapping[str, str]) -> float:
-    """Pr(partial) by summing the chain-rule product over every completion."""
-    free = tuple(v for v in net.names if v not in partial)
-    total = 0.0
-    count = assignment_count(net, free)
-    for rank in range(count):
-        full = dict(partial)
-        full.update(assignment_at(net, free, rank))
-        total += joint_probability(net, full)
-    return total
+def _brute_table(net: Network, keep: tuple[str, ...], partial: Mapping[str, str]) -> list[float]:
+    """Pr(k, partial) for every assignment k to ``keep``, in row-major rank order.
+
+    Each cell sums the chain-rule product over every completion of its
+    assignment, in rank order.
+    """
+    rest = tuple(v for v in net.names if v not in partial and v not in keep)
+    table = []
+    for k in enumerate_assignments(net, keep):
+        total = 0.0
+        for c in enumerate_assignments(net, rest):
+            total += joint_probability(net, {**partial, **k, **c})
+        table.append(total)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +247,7 @@ def marginal(net: Network, partial: Mapping[str, str], method: str = "ve") -> fl
     if method == "ve":
         return float(joint_table(net, (), partial))
     if method == "brute":
-        return _brute_marginal(net, partial)
+        return _brute_table(net, (), partial)[0]
     raise InvalidQueryError(f"unknown inference method {method!r}")
 
 
@@ -272,15 +277,13 @@ def candidate_joints(
     """
     if method == "ve":
         return joint_table(net, hypothesis, context, guard=guard).ravel().tolist()
-    if method == "brute" and guard is not None:
+    if method != "brute":
+        raise InvalidQueryError(f"unknown inference method {method!r}")
+    if guard is not None:
         completions = assignment_count(net, (v for v in net.names if v not in context))
         if completions > guard:
             raise CapacityError(f"brute enumeration of {completions} assignments exceeds guard {guard}")
-    count = assignment_count(net, hypothesis)
-    return [
-        marginal(net, {**context, **assignment_at(net, hypothesis, rank)}, method)
-        for rank in range(count)
-    ]
+    return _brute_table(net, hypothesis, context)
 
 
 def map_solve(
@@ -296,10 +299,10 @@ def map_solve(
     """Most probable joint value assignment to ``hypothesis`` given the context.
 
     The candidates' joints Pr(h, context) come from one table over the
-    hypothesis, in canonical row-major order; the first maximizer wins, and
-    a second candidate within ``tie_tol`` of the maximum raises the ``tie``
-    flag.  The context is the union of evidence and any extra conditioning
-    assignment; its probability is the table's total.
+    hypothesis on either ``method``, in canonical row-major order; the first
+    maximizer wins, and a second candidate within ``tie_tol`` of the maximum
+    raises the ``tie`` flag.  The context is the union of evidence and any
+    extra conditioning assignment; its probability is the table's total.
     """
     evidence = dict(evidence or {})
     conditioning = dict(conditioning or {})

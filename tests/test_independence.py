@@ -566,28 +566,53 @@ def comparable(report):
 
 
 def test_subsets_get_their_own_tables_above_the_guard(tables):
-    # Guard 8 refuses the 16-entry table over H, R1, R2, R3 on its plan,
-    # before any product, and admits every subset's table: each subset is
-    # then answered from its own elimination, as the default guard answers
-    # it from sums over the one table.
+    # The 16-entry table over H, R1, R2, R3 is past guard 8, so it is never
+    # planned; every subset's table fits the guard, and each subset is then
+    # answered from its own elimination, as the default guard answers it
+    # from sums over the one table.
     net = naive_bayes_network()
     p = part({"E": "T"}, ("H",), ("R1", "R2", "R3"))
     weak = weak_map_independence(net, p, guard=8)
-    assert tables == [("H", "R1", "R2", "R3"), ("H", "R1"), ("H", "R2")]
+    assert tables == [("H", "R1"), ("H", "R2")]
     assert comparable(weak) == comparable(weak_map_independence(net, p))
     assert weak.counterexample == {"R2": "F"}
 
     tables.clear()
     split = relevance_partition(net, p.evidence, p.hypothesis, p.focus, guard=8)
-    assert tables == [("H", "R1", "R2", "R3"), ("H", "R1"), ("H", "R2"), ("H", "R3")]
+    assert tables == [("H", "R1"), ("H", "R2"), ("H", "R3")]
     assert split == relevance_partition(net, p.evidence, p.hypothesis, p.focus)
     assert split.irrelevant == ("R1",)
 
     tables.clear()
     best = maximum_map_independence(net, p, 1, guard=8)
-    assert tables == [("H", "R1", "R2", "R3"), ("H", "R1"), ("H", "R1", "R2"), ("H", "R1", "R3")]
+    assert tables == [("H", "R1"), ("H", "R1", "R2"), ("H", "R1", "R3")]
     assert comparable(best) == comparable(maximum_map_independence(net, p, 1))
     assert best.subset == ("R1",)
+
+
+def test_subsets_get_their_own_tables_when_the_one_plan_fails_the_guard(tables):
+    # A hidden root Y with children H, R1 and R2: the one table over H, R1,
+    # R2 has 8 entries, within guard 8, but eliminating Y multiplies all
+    # four CPTs into 16, so the plan refuses it and R1 gets its own table,
+    # whose product over Y, H, R1 has 8.  Observing R1 = F makes Y = F
+    # likely and overturns the prior MAP H = T.
+    strong_link = ((0.9, 0.1), (0.1, 0.9))
+    net = Network(
+        "hidden_root",
+        (Variable("Y", TF), Variable("H", TF), Variable("R1", TF), Variable("R2", TF)),
+        (
+            Cpt("Y", (), ((0.5, 0.5),)),
+            Cpt("H", ("Y",), ((0.8, 0.2), (0.3, 0.7))),
+            Cpt("R1", ("Y",), strong_link),
+            Cpt("R2", ("Y",), strong_link),
+        ),
+    )
+    p = part({}, ("H",), ("R1", "R2"))
+    weak = weak_map_independence(net, p, guard=8)
+    assert tables == [("H", "R1", "R2"), ("H", "R1")]
+    assert comparable(weak) == comparable(weak_map_independence(net, p))
+    assert weak.verdict is False
+    assert weak.counterexample == {"R1": "F"}
 
 
 def test_one_table_and_per_subset_tables_agree(monkeypatch):

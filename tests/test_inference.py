@@ -112,8 +112,10 @@ def test_marginal_empty_is_total_probability(fig1b, method):
 
 
 def test_marginal_unknown_method(fig1b):
-    with pytest.raises(InvalidQueryError):
+    with pytest.raises(InvalidQueryError, match="unknown inference method 'guess'"):
         marginal(fig1b, {}, "guess")
+    with pytest.raises(InvalidQueryError, match="unknown inference method 'guess'"):
+        map_solve(fig1b, ("A",), {"C": "T"}, method="guess")
 
 
 def test_ve_agrees_with_brute_on_random_networks():
@@ -125,6 +127,31 @@ def test_ve_agrees_with_brute_on_random_networks():
         assert marginal(net, partial, "ve") == pytest.approx(
             marginal(net, partial, "brute"), abs=1e-9
         )
+
+
+def test_brute_route_matches_independent_oracle_exactly():
+    # Both sum the same chain-rule products over the completions of the
+    # assignment in the same rank order, so their doubles are equal, not
+    # merely close.
+    rng = random.Random(1401)
+    for _ in range(120):
+        net = random_network(rng, rng.randint(3, 7), max_states=3)
+        names = list(net.names)
+        rng.shuffle(names)
+        n_hyp = rng.randint(1, 2)
+        h = tuple(sorted(names[:n_hyp], key=net.declaration_index))
+        evidence = random_assignment(rng, net, names[n_hyp:n_hyp + rng.randint(0, 2)])
+        assert marginal(net, evidence, "brute") == brute_marginal(net, evidence)
+        joints = [brute_marginal(net, {**evidence, **cell}) for cell in enumerate_assignments(net, h)]
+        if sum(joints) == 0.0:
+            continue
+        result = map_solve(net, h, evidence, method="brute")
+        best = _first_argmax(joints)
+        runner_up = max(p for i, p in enumerate(joints) if i != best)
+        assert result.assignment == assignment_at(net, h, best)
+        assert result.joint_probability == joints[best]
+        assert result.posterior == joints[best] / sum(joints)
+        assert result.runner_up_gap == joints[best] - runner_up
 
 
 def test_ve_agrees_with_independent_oracle():
