@@ -14,7 +14,8 @@ Three document kinds travel through the CLI, all UTF-8 JSON:
   "quantify"|"partition", "hypothesis": [...], "evidence": {var: state},
   "focus": [...], "k": int, "h_star": {var: state}, "s": number or exact
   fraction string such as "3/16", "candidates": [...]}`` with the
-  mode-specific fields required.
+  mode-specific fields required.  Every number must be finite: the query
+  is echoed into its report, where NaN or Infinity would not be JSON.
 
 * report documents: the query echoed back plus the result fields, the tool
   version, and elapsed milliseconds.  Keys keep a fixed order and floats
@@ -195,13 +196,12 @@ def _read_json(path: str | Path) -> Any:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
 
 
-def load_network(path: str | Path, validate: bool = True) -> Network:
-    """Read and (by default) re-validate a network document."""
+def load_network(path: str | Path) -> Network:
+    """Read and validate a network document."""
     net = network_from_document(_read_json(path))
-    if validate:
-        violations = validate_network(net)
-        if violations:
-            raise NetworkValidationError(violations)
+    violations = validate_network(net)
+    if violations:
+        raise NetworkValidationError(violations)
     return net
 
 
@@ -231,6 +231,11 @@ def load_query(path: str | Path) -> dict:
     doc = _read_json(path)
     if not isinstance(doc, Mapping):
         raise DocumentError("query document must be a JSON object")
+    # The query is echoed into its report, where NaN or Infinity would not be JSON.
+    try:
+        json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise DocumentError("query document may not hold NaN or Infinity") from None
     mode = doc.get("mode")
     if mode not in QUERY_MODES:
         raise DocumentError(f"mode must be one of {QUERY_MODES}, got {mode!r}")
@@ -273,7 +278,7 @@ def _assignment_doc(a: Mapping[str, str] | None) -> Any:
     return None if a is None else dict(a)
 
 
-def _independence_result(report: IndependenceReport, table: bool) -> dict:
+def _independence_result(report: IndependenceReport) -> dict:
     out: dict[str, Any] = {
         "mode": report.mode,
         "verdict": report.verdict,
@@ -294,7 +299,7 @@ def _independence_result(report: IndependenceReport, table: bool) -> dict:
             "mean_hamming": report.metrics.mean_hamming,
             "hamming_weighting": "uniform",
         }
-    if table and report.per_assignment is not None:
+    if report.per_assignment is not None:
         out["per_assignment"] = [
             {
                 "assignment": dict(row.assignment),
@@ -430,10 +435,10 @@ def _parse_names(text: str | None) -> list[str]:
 
 
 def _cmd_validate(args) -> int:
-    net = load_network(args.network, validate=False)
-    violations = validate_network(net)
-    if violations:
-        for v in violations:
+    try:
+        net = load_network(args.network)
+    except NetworkValidationError as exc:
+        for v in exc.violations:
             print(f"{v.code}: {v.where}: {v.message}", file=sys.stderr)
         return EXIT_INVALID_NETWORK
     print(f"{net.name}: valid ({len(net.variables)} variables)")
@@ -513,7 +518,7 @@ def _cmd_query(args) -> int:
                 parse_threshold(query["s"]),
                 table_limit=table_limit,
             )
-        result_doc = _independence_result(report, table=table_limit is not None)
+        result_doc = _independence_result(report)
 
     _write_report(make_report(net, query, result_doc, time.perf_counter() - t0), args.output)
     return EXIT_OK

@@ -10,11 +10,12 @@ pool from which H is strongly independent.
 Every decider is a reduction over tables Pr(H, S, e) built by
 ``inference.joint_table``.  Strong and quantify build one, S = R.  Weak,
 partition and maximum ask the same question of many focus subsets S of one
-set F (the focus set, the candidates or the pool): they build Pr(H, F, e)
-once, and each S's table is its sum over F minus S.  That holds while the
-table has at most ``_JOINT_CELLS`` cells and its plan passes the guard;
-otherwise each S gets its own elimination, so a focus set too large for one
-joint table is still answered variable by variable.  Each column (one
+set F (the focus set, the candidates or the pool), and ``_SubsetFolds`` is
+the one place that folds them: it builds Pr(H, F, e) once, and each S's
+table is its sum over F minus S.  That holds while the table has at most
+``_JOINT_CELLS`` cells and its plan passes the guard; otherwise each S gets
+its own elimination, so a focus set too large for one joint table is still
+answered variable by variable.  Each column (one
 assignment s) yields its first maximiser and tie flag, by the rule
 ``map_solve`` also applies, its total Pr(s, e) and the entry of the
 reference explanation h*; the columns are folded in canonical row-major
@@ -26,11 +27,12 @@ an InfeasibleQueryError instead.
 h* = argmax_H Pr(H, e) comes from the first subset table a decider folds:
 its row sums are Pr(H, e), reduced by the same tie rule, and their total is
 Pr(e), so a zero total is the check for infeasible evidence.  It runs
-after the guard has passed the table's elimination, and later subsets
-(weak, partition, maximum) reuse the rank.  No decider eliminates for h*
-or Pr(e) on its own; only quantify's ``mass`` eliminates for Pr(e), and
-``threshold``, which has no reference explanation, checks Pr(e) with a
-guarded elimination after its table's.
+after the guard has passed the table's elimination.  In weak, partition
+and maximum, ``_SubsetFolds`` hands the first fold's h* to every later
+fold and keeps the ties seen so far, so no decider carries h* itself.  No
+decider eliminates for h* or Pr(e) on its own; only quantify's ``mass``
+eliminates for Pr(e), and ``threshold``, which has no reference
+explanation, checks Pr(e) with a guarded elimination after its table's.
 
 The ``workers`` keyword is accepted for compatibility and ignored: a query
 is one elimination, so there is no sweep to split.
@@ -43,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -225,48 +227,47 @@ def _fold(
     return fold
 
 
-def _subset_tables(
-    net: Network,
-    hypothesis: tuple[str, ...],
-    evidence: Assignment,
-    focus: tuple[str, ...],
-    guard: int,
-) -> Callable[[tuple[str, ...]], np.ndarray]:
-    """A function giving Pr(H, S, e), axes H then S, for subsets S of ``focus``.
+class _SubsetFolds:
+    """Folds of Pr(H, S, e), axes H then S, for focus subsets S of one set F.
 
-    While |Omega(H)| * |Omega(F)| is at most ``_JOINT_CELLS`` and the guard,
-    and the plan of Pr(H, F, e), F = ``focus``, passes the guard, that one
-    table is built here and each S's table is its sum over F minus S.
-    Otherwise each call eliminates for S alone, which is how a focus set
-    whose joint table exceeds the guard is still answered.
+    Each subset's table is chosen by one rule.  While |Omega(H)| * |Omega(F)|
+    is at most ``_JOINT_CELLS`` and the guard, and the plan of Pr(H, F, e)
+    passes the guard, that one table is built here and each S's table is
+    its sum over F minus S.  Otherwise each fold eliminates for S alone,
+    which is how a focus set whose joint table exceeds the guard is still
+    answered.  The first fold finds h*; every later fold is given its rank.
+    ``h_star`` and ``ties`` (any tie seen so far, h*'s own included) are
+    read off after the folds.
     """
-    if assignment_count(net, hypothesis + focus) <= min(_JOINT_CELLS, guard):
-        try:
-            joint = joint_table(net, hypothesis + focus, evidence, guard=guard)
-        except CapacityError:
-            pass
+
+    def __init__(self, net, hypothesis, evidence, focus, *, guard, tie_tol, strict_zeros):
+        self.h_star: int | None = None
+        self.ties = False
+        self._query = (net, hypothesis, evidence)
+        self._focus = focus
+        self._options = {"tie_tol": tie_tol, "strict_zeros": strict_zeros}
+        self._guard = guard
+        self._joint = None
+        if assignment_count(net, hypothesis + focus) <= min(_JOINT_CELLS, guard):
+            try:
+                self._joint = joint_table(net, hypothesis + focus, evidence, guard=guard)
+            except CapacityError:
+                pass
+
+    def fold(self, subset: tuple[str, ...], *, stop_early: bool, table_limit: int | None = None) -> _Fold:
+        net, hypothesis, evidence = self._query
+        if self._joint is None:
+            table = joint_table(net, hypothesis + subset, evidence, guard=self._guard)
         else:
             first = len(hypothesis)
-            return lambda subset: joint.sum(axis=tuple(first + i for i, v in enumerate(focus) if v not in subset))
-    return lambda subset: joint_table(net, hypothesis + subset, evidence, guard=guard)
-
-
-def _singleton_folds(
-    net: Network,
-    hypothesis: tuple[str, ...],
-    evidence: Assignment,
-    focus: tuple[str, ...],
-    *,
-    guard: int,
-    **fold_options,
-) -> Iterator[tuple[str, _Fold]]:
-    """(R_i, fold of Pr(H, R_i, e)) per focus variable in canonical order; the first finds h*."""
-    table_of = _subset_tables(net, hypothesis, evidence, focus, guard)
-    h_star_idx = None
-    for var in focus:
-        fold = _fold(net, hypothesis, evidence, (var,), table_of((var,)), h_star_idx=h_star_idx, **fold_options)
-        h_star_idx = fold.h_star
-        yield var, fold
+            table = self._joint.sum(axis=tuple(first + i for i, v in enumerate(self._focus) if v not in subset))
+        fold = _fold(
+            net, hypothesis, evidence, subset, table, h_star_idx=self.h_star,
+            stop_early=stop_early, table_limit=table_limit, **self._options,
+        )
+        self.h_star = fold.h_star
+        self.ties = self.ties or fold.ties
+        return fold
 
 
 # ---------------------------------------------------------------------------
@@ -340,39 +341,41 @@ def weak_map_independence(
 ) -> IndependenceReport:
     """Strong MAP-independence checked per focus variable, one at a time.
 
-    Each focus variable R_i is folded over its own table Pr(H, R_i, e), so
-    interaction effects between focus variables are deliberately not
-    visible here.  The tables are sums over one Pr(H, R, e) while that has
-    at most ``_JOINT_CELLS`` cells and fits the guard; above that each R_i
-    gets its own elimination, so the work grows with the sum of the focus
-    cardinalities rather than their product.
+    Each focus variable R_i, in canonical order, is folded over its own
+    table Pr(H, R_i, e) against the h* of the first fold, so interaction
+    effects between focus variables are deliberately not visible here.  The
+    tables are sums over one Pr(H, R, e) while that has at most
+    ``_JOINT_CELLS`` cells and fits the guard; above that each R_i gets its
+    own elimination, so the work grows with the sum of the focus
+    cardinalities rather than their product.  The first failing R_i gives
+    the counterexample and, unless a table was requested or
+    ``short_circuit`` is off, ends the loop.  Table rows follow the focus
+    order, up to ``table_limit`` in all.
     """
     started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
+    source = _SubsetFolds(
+        net, hypothesis, evidence, focus, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros
+    )
     stop_early = short_circuit and table_limit is None
     folds: list[_Fold] = []
-    for _, fold in _singleton_folds(
-        net, hypothesis, evidence, focus,
-        tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros,
-        stop_early=stop_early, table_limit=table_limit,
-    ):
-        folds.append(fold)
-        if stop_early and not fold.verdict:
+    for var in focus:
+        folds.append(source.fold((var,), stop_early=stop_early, table_limit=table_limit))
+        if stop_early and not folds[-1].verdict:
             break
     counterexample = next((f.counterexample for f in folds if not f.verdict), None)
     rows = [row for f in folds for row in f.rows][:table_limit]
-    ties = any(f.ties for f in folds)
     return IndependenceReport(
         mode="weak",
         verdict=counterexample is None,
-        witness=assignment_at(net, hypothesis, folds[0].h_star),
+        witness=assignment_at(net, hypothesis, source.h_star),
         counterexample=counterexample,
         per_assignment=tuple(rows) if table_limit is not None else None,
         skipped=tuple(r for f in folds for r in f.skipped),
-        ties_encountered=ties,
-        warning=TIE_WARNING if ties else None,
+        ties_encountered=source.ties,
+        warning=TIE_WARNING if source.ties else None,
         elapsed=time.perf_counter() - started,
     )
 
@@ -394,10 +397,11 @@ def maximum_map_independence(
     hit is greedily extended to a maximal qualifying set.  During the
     extension, a known-failing subset prunes every superset of it.  Both
     the extension and the pruning rely on downward closure, which ties can
-    break, so the extension stops as soon as a tie is encountered.  Each
-    evaluated subset S is folded over its table Pr(H, S, e): a sum over one
-    table Pr(H, pool, e) while that has at most ``_JOINT_CELLS`` cells and
-    fits the guard, else its own elimination.
+    break, so the extension stops as soon as a tie is encountered, in any
+    subset folded so far.  Each evaluated subset S is folded over its table
+    Pr(H, S, e) against the h* of the first subset evaluated: a sum over
+    one table Pr(H, pool, e) while that has at most ``_JOINT_CELLS`` cells
+    and fits the guard, else its own elimination.
     """
     started = time.perf_counter()
     hypothesis, evidence, pool = resolve_partition(net, partition)
@@ -407,49 +411,35 @@ def maximum_map_independence(
         raise InvalidQueryError(f"k must be between 1 and {len(pool)}, got {k}")
     if math.comb(len(pool), k) > guard:
         raise CapacityError(f"C({len(pool)}, {k}) exceeds guard {guard}")
-    table_of = _subset_tables(net, hypothesis, evidence, pool, guard)
-    h_star_idx: int | None = None  # found by the first subset evaluated
-    ties = False
+    source = _SubsetFolds(
+        net, hypothesis, evidence, pool, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros
+    )
     failing: list[frozenset[str]] = []
 
-    def pruned(subset: tuple[str, ...]) -> bool:
-        return any(f.issubset(subset) for f in failing)
-
     def independent(subset: tuple[str, ...]) -> bool:
-        nonlocal h_star_idx, ties
-        fold = _fold(
-            net, hypothesis, evidence, subset, table_of(subset), h_star_idx=h_star_idx,
-            tie_tol=tie_tol, strict_zeros=strict_zeros, stop_early=True,
-        )
-        h_star_idx = fold.h_star
-        ties = ties or fold.ties
-        if not fold.verdict:
+        if not source.fold(subset, stop_early=True).verdict:
             failing.append(frozenset(subset))
-        return fold.verdict
+            return False
+        return True
 
-    best: tuple[str, ...] | None = None
-    for subset in combinations(pool, k):
-        if independent(subset):
-            best = subset
-            break
-
-    if best is not None and not ties:
+    best = next((subset for subset in combinations(pool, k) if independent(subset)), None)
+    if best is not None:
         for var in pool:
-            if ties:
+            if source.ties:
                 break  # downward closure no longer trustworthy
             if var in best:
                 continue
             extended = canonical_vars(net, (*best, var))
-            if not pruned(extended) and independent(extended):
+            if not any(f.issubset(extended) for f in failing) and independent(extended):
                 best = extended
 
     return IndependenceReport(
         mode="maximum",
         verdict=best is not None,
-        witness=assignment_at(net, hypothesis, h_star_idx),
+        witness=assignment_at(net, hypothesis, source.h_star),
         subset=best,
-        ties_encountered=ties,
-        warning=TIE_WARNING if ties else None,
+        ties_encountered=source.ties,
+        warning=TIE_WARNING if source.ties else None,
         elapsed=time.perf_counter() - started,
     )
 
@@ -467,9 +457,12 @@ def threshold_map_independence(
     """Does Pr(h_star, r, e) strictly exceed ``s`` for every r over the focus?
 
     The supplied ``h_star`` is taken at face value (it need not be the true
-    MAP).  One table Pr(h_star, R, e) covers all of Omega(R), so the
-    reported minimum joint probability is exact; zero-probability
-    assignments simply fail the strict comparison.
+    MAP).  One table Pr(h_star, R, e) covers all of Omega(R), and the
+    answer is read straight off its entries in rank order: the first entry
+    not above ``s`` is the counterexample, and the reported minimum joint
+    probability is their exact minimum.  Zero-probability assignments
+    simply fail the strict comparison.  Only the rows of a requested table
+    are decoded into assignments.
     """
     started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
@@ -485,25 +478,20 @@ def threshold_map_independence(
     if evidence and joint_table(net, (), evidence, guard=guard) == 0.0:
         raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
 
-    verdict = True
-    counterexample = None
-    min_joint = None
-    rows: list[SweepRow] = []
-    for rank, p in enumerate(joints):
-        if min_joint is None or p < min_joint:
-            min_joint = p
-        if verdict and not p > s:  # strict comparison, exact for Fraction thresholds
-            verdict = False
-            counterexample = assignment_at(net, focus, rank)
-        if table_limit is not None and len(rows) < table_limit:
-            rows.append(SweepRow(assignment_at(net, focus, rank), None, p))
+    # The strict comparison is exact for Fraction thresholds.
+    failing_rank = next((rank for rank, p in enumerate(joints) if not p > s), None)
+    rows = None
+    if table_limit is not None:
+        rows = tuple(
+            SweepRow(assignment_at(net, focus, rank), None, p) for rank, p in enumerate(joints[:table_limit])
+        )
     return IndependenceReport(
         mode="threshold",
-        verdict=verdict,
+        verdict=failing_rank is None,
         witness={v: h_star[v] for v in hypothesis},
-        counterexample=counterexample,
-        min_joint=min_joint,
-        per_assignment=tuple(rows) if table_limit is not None else None,
+        counterexample=None if failing_rank is None else assignment_at(net, focus, failing_rank),
+        min_joint=min(joints),
+        per_assignment=rows,
         elapsed=time.perf_counter() - started,
     )
 
@@ -547,13 +535,11 @@ def relevance_partition(
     hyp, evidence, cands = resolve_partition(net, QueryPartition(evidence, hypothesis, candidates))
     if not cands:
         return RelevancePartition(relevant=(), irrelevant=(), justification={})
-    justification = {
-        var: SingletonFinding(fold.verdict, fold.counterexample)
-        for var, fold in _singleton_folds(
-            net, hyp, evidence, cands,
-            tie_tol=tie_tol, guard=guard, strict_zeros=strict_zeros, stop_early=True,
-        )
-    }
+    source = _SubsetFolds(net, hyp, evidence, cands, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros)
+    justification = {}
+    for var in cands:
+        fold = source.fold((var,), stop_early=True)
+        justification[var] = SingletonFinding(fold.verdict, fold.counterexample)
     relevant = tuple(var for var, finding in justification.items() if not finding.map_independent)
     irrelevant = tuple(var for var, finding in justification.items() if finding.map_independent)
     return RelevancePartition(relevant, irrelevant, justification)

@@ -160,8 +160,8 @@ class QueryPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "evidence", dict(self.evidence))
-        object.__setattr__(self, "hypothesis", tuple(self.hypothesis))
-        object.__setattr__(self, "focus", tuple(self.focus))
+        object.__setattr__(self, "hypothesis", tuple(_collection(self.hypothesis)))
+        object.__setattr__(self, "focus", tuple(_collection(self.focus)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +332,20 @@ def check_assignment(net: Network, assignment: Mapping[str, str]) -> None:
         net.state_index(var, state)
 
 
+def _collection(vars: Iterable[str]) -> Iterable[str]:
+    """``vars`` itself, unless it is a string: that would iterate into its characters."""
+    if isinstance(vars, str):
+        raise InvalidQueryError(f"expected a collection of variable names, got the string {vars!r}")
+    return vars
+
+
 def ordered_vars(net: Network, vars: Iterable[str]) -> tuple[str, ...]:
     """Resolve a collection of variable names against the network.
 
     Sequences keep their order; unordered collections are canonicalized to
-    declaration order.  Duplicates are rejected.
+    declaration order.  Duplicates are rejected, and so is a string.
     """
-    names = list(vars)
+    names = list(_collection(vars))
     for n in names:
         net.variable(n)
     if len(set(names)) != len(names):
@@ -350,7 +357,7 @@ def ordered_vars(net: Network, vars: Iterable[str]) -> tuple[str, ...]:
 
 def canonical_vars(net: Network, vars: Iterable[str]) -> tuple[str, ...]:
     """Resolve names and sort them into declaration order."""
-    return ordered_vars(net, set(ordered_vars(net, list(vars))))
+    return ordered_vars(net, set(ordered_vars(net, vars)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +412,9 @@ def d_separated(net: Network, x: Iterable[str], y: Iterable[str], z: Iterable[st
     """
     if isinstance(z, Mapping):
         z = z.keys()
-    xs = frozenset(ordered_vars(net, set(x)))
-    ys = frozenset(ordered_vars(net, set(y)))
-    zs = frozenset(ordered_vars(net, set(z)))
+    xs = frozenset(ordered_vars(net, set(_collection(x))))
+    ys = frozenset(ordered_vars(net, set(_collection(y))))
+    zs = frozenset(ordered_vars(net, set(_collection(z))))
     if xs & ys or xs & zs or ys & zs:
         raise InvalidQueryError("d-separation query sets must be pairwise disjoint")
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -334,6 +335,11 @@ def test_query_rejects_malformed_network_document(tmp_path, capsys, network, mes
     ({**STRONG_QUERY, "evidence": ["C", "T"]}, "evidence must map variable names to state names"),
     ({**STRONG_QUERY, "mode": "maximum", "k": 1.0}, "k must be an integer"),
     ({**STRONG_QUERY, "mode": "maximum", "k": True}, "k must be an integer"),
+    # Every field is echoed into the report, where these would not be JSON.
+    ({"mode": "map", "hypothesis": ["A"], "evidence": {"C": "T"}, "note": math.nan},
+     "query document may not hold NaN or Infinity"),
+    ({**STRONG_QUERY, "note": {"bound": math.inf}}, "query document may not hold NaN or Infinity"),
+    ({**STRONG_QUERY, "note": [-math.inf]}, "query document may not hold NaN or Infinity"),
 ])
 def test_query_rejects_malformed_query_document(tmp_path, capsys, query, message):
     path = write_query(tmp_path, "q.json", query)

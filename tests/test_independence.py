@@ -657,6 +657,58 @@ def test_one_table_and_per_subset_tables_agree(monkeypatch):
     assert informative >= 40
 
 
+def symmetric_hypothesis(net, h):
+    """``net`` with ``h`` uniform and every child of ``h`` blind to it, so h's states tie exactly."""
+    card = net.cardinality(h)
+    cpts = []
+    for c in net.cpts:
+        if c.child == h:
+            c = Cpt(h, c.parents, tuple((1.0 / card,) * card for _ in c.rows))
+        elif h in c.parents:
+            stride = math.prod(net.cardinality(q) for q in c.parents[c.parents.index(h) + 1:])
+            c = Cpt(c.child, c.parents, tuple(c.rows[r - r // stride % card * stride] for r in range(len(c.rows))))
+        cpts.append(c)
+    return Network(net.name, net.variables, tuple(cpts))
+
+
+@pytest.mark.parametrize("cells", [0, independence._JOINT_CELLS], ids=["per-subset", "one-table"])
+def test_later_folds_are_given_the_first_folds_h_star(monkeypatch, cells):
+    # h* is the first maximiser of the first folded table's row sums; every
+    # later fold of the same query must be handed that rank, not find its own.
+    calls = []
+    fold = independence._fold
+
+    def recording(*args, h_star_idx=None, **kwargs):
+        result = fold(*args, h_star_idx=h_star_idx, **kwargs)
+        calls.append((h_star_idx, result.h_star))
+        return result
+
+    monkeypatch.setattr(independence, "_fold", recording)
+    monkeypatch.setattr(independence, "_JOINT_CELLS", cells)
+    rng = random.Random(1511)
+    handed_on = tied = 0
+    for trial in range(30):
+        net = random_network(rng, rng.randint(4, 7), max_states=3 if trial % 2 else 2)
+        p = random_partition(rng, net, n_hypothesis=rng.randint(1, 2), n_focus=rng.randint(2, 4))
+        if trial % 3 == 0:
+            net = symmetric_hypothesis(net, p.hypothesis[0])
+        for decide in (
+            lambda: weak_map_independence(net, p, short_circuit=False),
+            lambda: relevance_partition(net, p.evidence, p.hypothesis, p.focus),
+            lambda: maximum_map_independence(net, p, 1),
+        ):
+            calls.clear()
+            report = decide()
+            (first, h_star), *later = calls
+            assert first is None
+            assert [given for given, _ in later] == [h_star] * len(later)
+            assert all(found == h_star for _, found in later)
+            handed_on += len(later)
+            tied += getattr(report, "ties_encountered", False)
+    assert handed_on >= 90
+    assert tied >= 15
+
+
 def infeasible_network():
     # E is certainly T, so the evidence E=F has probability zero.
     return Network(

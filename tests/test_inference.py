@@ -215,6 +215,14 @@ def barren_network():
     )
 
 
+def test_a_string_of_variable_names_is_rejected(fig1b):
+    # "AB" names A and B in fig1b letter by letter; it must not be read that way.
+    with pytest.raises(InvalidQueryError, match="got the string 'AB'"):
+        map_solve(fig1b, "AB", {"C": "T"})
+    with pytest.raises(InvalidQueryError, match="got the string 'AB'"):
+        joint_table(fig1b, "AB", {"C": "T"})
+
+
 def test_joint_table_eliminates_only_ancestors(monkeypatch):
     net = barren_network()
     seen = []

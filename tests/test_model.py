@@ -13,11 +13,13 @@ from mapindep.model import (
     Violation,
     _holds_everywhere,
     _locate_violations,
+    canonical_vars,
     d_separated,
     enumerate_assignments,
     min_fill_order,
     moral_adjacency,
     network_stats,
+    ordered_vars,
     resolve_partition,
     topological_order,
     validate_network,
@@ -332,6 +334,25 @@ def test_dsep_overlapping_sets_rejected():
     net = binary_chain(3)
     with pytest.raises(InvalidQueryError):
         d_separated(net, {"V0"}, {"V0"}, set())
+
+
+def test_variable_list_given_as_a_string_is_rejected():
+    # A string would iterate into its characters, each one a variable name here.
+    net = Network("letters", (Variable("A", TF), Variable("B", TF), Variable("C", TF)),
+                  (Cpt("A", (), ((0.5, 0.5),)), Cpt("B", ("A",), ((0.8, 0.2), (0.3, 0.7))),
+                   Cpt("C", ("B",), ((0.8, 0.2), (0.3, 0.7)))))
+    for call in (
+        lambda: ordered_vars(net, "AB"),
+        lambda: canonical_vars(net, "AB"),
+        lambda: enumerate_assignments(net, "AB"),
+        lambda: QueryPartition({"C": "T"}, "A", ("B",)),
+        lambda: QueryPartition({"C": "T"}, ("A",), "B"),
+        lambda: d_separated(net, "A", {"C"}, set()),
+        lambda: d_separated(net, {"A"}, "C", set()),
+        lambda: d_separated(net, {"A"}, {"C"}, "B"),
+    ):
+        with pytest.raises(InvalidQueryError, match="got the string"):
+            list(call())
 
 
 # ---------------------------------------------------------------------------
