@@ -7,19 +7,19 @@ every joint assignment to R; the weak decider checks each focus variable
 on its own; the maximum search looks for a largest subset of a candidate
 pool from which H is strongly independent.
 
-Every decider is a reduction over tables Pr(H, S, e) built by
-``inference.joint_table``.  Strong and quantify build one, S = R.  Weak,
-partition and maximum ask the same question of many focus subsets S of one
-set F (the focus set, the candidates or the pool), and ``_SubsetFolds`` is
-the one place that folds them: it builds Pr(H, F, e) once, and each S's
-table is its sum over F minus S.  That holds while the table has at most
-``_JOINT_CELLS`` cells and its plan passes the guard; otherwise each S gets
-its own elimination, so a focus set too large for one joint table is still
-answered variable by variable.  Each column (one
-assignment s) yields its first maximiser and tie flag, by the rule
-``map_solve`` also applies, its total Pr(s, e) and the entry of the
-reference explanation h*; the columns are folded in canonical row-major
-order, and the first differing assignment is the counterexample.
+Every decider but ``threshold`` is a reduction over tables Pr(H, S, e)
+built by ``inference.joint_table``, for focus subsets S of one set F (the
+focus set, the candidates or the pool), and ``_SubsetFolds`` is the one
+place that folds them.  Strong and quantify fold S = F = R; weak,
+partition and maximum fold many subsets.  ``_SubsetFolds`` builds
+Pr(H, F, e) once, and each S's table is its sum over F minus S.  That
+holds while the table has at most ``_JOINT_CELLS`` cells and its plan
+passes the guard; otherwise each S gets its own elimination, so a focus
+set too large for one joint table is still answered variable by variable.
+Each column (one assignment s) yields its first maximiser and tie flag, by
+the rule ``map_solve`` also applies, its total Pr(s, e) and the entry of
+the reference explanation h*; the columns are folded in canonical
+row-major order, and the first differing assignment is the counterexample.
 Zero-probability (s, e) combinations cannot be observed, so by default
 they are skipped and listed in the report; ``strict_zeros`` turns them into
 an InfeasibleQueryError instead.
@@ -27,12 +27,13 @@ an InfeasibleQueryError instead.
 h* = argmax_H Pr(H, e) comes from the first subset table a decider folds:
 its row sums are Pr(H, e), reduced by the same tie rule, and their total is
 Pr(e), so a zero total is the check for infeasible evidence.  It runs
-after the guard has passed the table's elimination.  In weak, partition
-and maximum, ``_SubsetFolds`` hands the first fold's h* to every later
-fold and keeps the ties seen so far, so no decider carries h* itself.  No
-decider eliminates for h* or Pr(e) on its own; only quantify's ``mass``
-eliminates for Pr(e), and ``threshold``, which has no reference
-explanation, checks Pr(e) with a guarded elimination after its table's.
+after the guard has passed the table's elimination.  ``_SubsetFolds``
+hands the first fold's h* to every later fold and keeps the ties seen so
+far, so no decider carries h* itself.  No decider eliminates for h* or
+Pr(e) on its own; only quantify's ``mass`` eliminates for Pr(e), and
+``threshold``, which has no reference explanation, reads its answer off
+one table Pr(h_star, R, e) and checks Pr(e) with a guarded elimination
+after it.
 
 The ``workers`` keyword is accepted for compatibility and ignored: a query
 is one elimination, so there is no sweep to split.
@@ -141,10 +142,8 @@ class RelevancePartition:
 
 @dataclass
 class _Fold:
-    h_star: int
     verdict: bool = True
     counterexample: Assignment | None = None
-    ties: bool = False
     skipped: list[Assignment] = field(default_factory=list)
     rows: list[SweepRow] = field(default_factory=list)
     min_joint: float | None = None
@@ -164,78 +163,17 @@ def _hamming(net: Network, hypothesis: tuple[str, ...], a_idx: int, b_idx: int) 
     return distance
 
 
-def _fold(
-    net: Network,
-    hypothesis: tuple[str, ...],
-    evidence: Assignment,
-    focus: tuple[str, ...],
-    table: np.ndarray,
-    *,
-    h_star_idx: int | None = None,
-    tie_tol: float,
-    strict_zeros: bool,
-    stop_early: bool,
-    table_limit: int | None = None,
-) -> _Fold:
-    """Fold the columns of ``table`` = Pr(H, S, e), S = ``focus``, in canonical rank order.
-
-    Each column gives its first maximiser and tie flag (``_column_argmax``),
-    Pr(h*, s, e) and its total Pr(s, e); the first column whose maximiser
-    is not h* is the counterexample, and ``stop_early`` ends the fold there.
-    Without ``h_star_idx``, h* is the first maximiser of the row sums
-    Pr(H, e), whose tie flag starts ``ties``; a zero total means Pr(e) = 0.
-    """
-    table = table.reshape(assignment_count(net, hypothesis), -1)
-    h_star_tie = False
-    if h_star_idx is None:
-        joints = table.sum(axis=1)
-        if joints.sum() == 0.0:
-            raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
-        (h_star_idx,), (h_star_tie,) = _column_argmax(joints.reshape(-1, 1), tie_tol)
-    argmax, ties = _column_argmax(table, tie_tol)
-    columns = zip(argmax, ties, table[h_star_idx].tolist(), table.sum(axis=0).tolist())
-
-    fold = _Fold(h_star_idx, ties=h_star_tie)
-    for rank, (best, tie, h_star_joint, total) in enumerate(columns):
-        if total == 0.0:
-            r = assignment_at(net, focus, rank)
-            if strict_zeros:
-                raise InfeasibleQueryError(
-                    f"conditioning assignment {r!r} has probability zero under the evidence"
-                )
-            fold.skipped.append(r)
-            fold.unchanged += 1  # vacuously: an impossible r cannot move the MAP
-            continue
-        fold.ties = fold.ties or tie
-        if fold.min_joint is None or h_star_joint < fold.min_joint:
-            fold.min_joint = h_star_joint
-        changed = best != h_star_idx
-        if changed and fold.counterexample is None:
-            fold.counterexample = assignment_at(net, focus, rank)
-            fold.verdict = False
-        if not changed:
-            fold.unchanged += 1
-            fold.mass_num += total
-        else:
-            fold.hamming_sum += _hamming(net, hypothesis, best, h_star_idx)
-        if table_limit is not None and len(fold.rows) < table_limit:
-            fold.rows.append(
-                SweepRow(assignment_at(net, focus, rank), assignment_at(net, hypothesis, best), h_star_joint)
-            )
-        if stop_early and changed:
-            break
-    return fold
-
-
 class _SubsetFolds:
     """Folds of Pr(H, S, e), axes H then S, for focus subsets S of one set F.
 
-    Each subset's table is chosen by one rule.  While |Omega(H)| * |Omega(F)|
-    is at most ``_JOINT_CELLS`` and the guard, and the plan of Pr(H, F, e)
-    passes the guard, that one table is built here and each S's table is
-    its sum over F minus S.  Otherwise each fold eliminates for S alone,
+    Strong and quantify fold S = F = R once; weak, partition and maximum
+    fold many subsets of F.  Each subset's table is chosen by one rule.
+    While |Omega(H)| * |Omega(F)| is at most ``_JOINT_CELLS`` and the guard,
+    and the plan of Pr(H, F, e) passes the guard, that one table is built
+    here and each S's table is its sum over F minus S (for S = F, a sum over
+    no axes: an exact copy).  Otherwise each fold eliminates for S alone,
     which is how a focus set whose joint table exceeds the guard is still
-    answered.  The first fold finds h*; every later fold is given its rank.
+    answered.  The first fold finds h*; every later fold reuses its rank.
     ``h_star`` and ``ties`` (any tie seen so far, h*'s own included) are
     read off after the folds.
     """
@@ -243,10 +181,13 @@ class _SubsetFolds:
     def __init__(self, net, hypothesis, evidence, focus, *, guard, tie_tol, strict_zeros):
         self.h_star: int | None = None
         self.ties = False
-        self._query = (net, hypothesis, evidence)
+        self._net = net
+        self._hypothesis = hypothesis
+        self._evidence = evidence
         self._focus = focus
-        self._options = {"tie_tol": tie_tol, "strict_zeros": strict_zeros}
         self._guard = guard
+        self._tie_tol = tie_tol
+        self._strict_zeros = strict_zeros
         self._joint = None
         if assignment_count(net, hypothesis + focus) <= min(_JOINT_CELLS, guard):
             try:
@@ -255,18 +196,60 @@ class _SubsetFolds:
                 pass
 
     def fold(self, subset: tuple[str, ...], *, stop_early: bool, table_limit: int | None = None) -> _Fold:
-        net, hypothesis, evidence = self._query
+        """Fold the columns of Pr(H, S, e), S = ``subset``, in canonical rank order.
+
+        Each column gives its first maximiser and tie flag (``_column_argmax``),
+        Pr(h*, s, e) and its total Pr(s, e); the first column whose maximiser
+        is not h* is the counterexample, and ``stop_early`` ends the fold there.
+        At most ``table_limit`` columns are decoded into rows.  The first fold
+        sets h* to the first maximiser of the row sums Pr(H, e), whose tie
+        flag starts ``ties``; a zero total means Pr(e) = 0.
+        """
+        net, hypothesis = self._net, self._hypothesis
         if self._joint is None:
-            table = joint_table(net, hypothesis + subset, evidence, guard=self._guard)
+            table = joint_table(net, hypothesis + subset, self._evidence, guard=self._guard)
         else:
             first = len(hypothesis)
             table = self._joint.sum(axis=tuple(first + i for i, v in enumerate(self._focus) if v not in subset))
-        fold = _fold(
-            net, hypothesis, evidence, subset, table, h_star_idx=self.h_star,
-            stop_early=stop_early, table_limit=table_limit, **self._options,
-        )
-        self.h_star = fold.h_star
-        self.ties = self.ties or fold.ties
+        table = table.reshape(assignment_count(net, hypothesis), -1)
+        if self.h_star is None:
+            joints = table.sum(axis=1)
+            if joints.sum() == 0.0:
+                raise InfeasibleQueryError(f"evidence {self._evidence!r} has probability zero")
+            (self.h_star,), (self.ties,) = _column_argmax(joints.reshape(-1, 1), self._tie_tol)
+        h_star = self.h_star
+        argmax, ties = _column_argmax(table, self._tie_tol)
+        columns = zip(argmax, ties, table[h_star].tolist(), table.sum(axis=0).tolist())
+
+        fold = _Fold()
+        for rank, (best, tie, h_star_joint, total) in enumerate(columns):
+            if total == 0.0:
+                r = assignment_at(net, subset, rank)
+                if self._strict_zeros:
+                    raise InfeasibleQueryError(
+                        f"conditioning assignment {r!r} has probability zero under the evidence"
+                    )
+                fold.skipped.append(r)
+                fold.unchanged += 1  # vacuously: an impossible r cannot move the MAP
+                continue
+            self.ties = self.ties or tie
+            if fold.min_joint is None or h_star_joint < fold.min_joint:
+                fold.min_joint = h_star_joint
+            changed = best != h_star
+            if changed and fold.counterexample is None:
+                fold.counterexample = assignment_at(net, subset, rank)
+                fold.verdict = False
+            if not changed:
+                fold.unchanged += 1
+                fold.mass_num += total
+            else:
+                fold.hamming_sum += _hamming(net, hypothesis, best, h_star)
+            if table_limit is not None and len(fold.rows) < table_limit:
+                fold.rows.append(
+                    SweepRow(assignment_at(net, subset, rank), assignment_at(net, hypothesis, best), h_star_joint)
+                )
+            if stop_early and changed:
+                break
         return fold
 
 
@@ -288,8 +271,9 @@ def strong_map_independence(
 ) -> IndependenceReport:
     """Is the MAP of the hypothesis the same for every joint assignment to the focus?
 
-    Reduces one table Pr(H, R, e), comparing each column's MAP to the
-    reference explanation in canonical order; stops at the first
+    Folds one table Pr(H, R, e) through ``_SubsetFolds`` with F = S = R,
+    comparing each column's MAP to the reference explanation (the first
+    maximiser of its row sums) in canonical order; stops at the first
     counterexample unless a table or metrics were requested.  The metrics
     divide by Pr(e), the one elimination they add: the table's total is
     Pr(e) too, but summed in another order its last digits differ, and
@@ -299,10 +283,11 @@ def strong_map_independence(
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
-    fold = _fold(
-        net, hypothesis, evidence, focus, joint_table(net, hypothesis + focus, evidence, guard=guard),
-        tie_tol=tie_tol, strict_zeros=strict_zeros, table_limit=table_limit,
-        stop_early=short_circuit and not with_metrics and table_limit is None,
+    source = _SubsetFolds(
+        net, hypothesis, evidence, focus, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros
+    )
+    fold = source.fold(
+        focus, stop_early=short_circuit and not with_metrics and table_limit is None, table_limit=table_limit
     )
 
     metrics = None
@@ -316,13 +301,13 @@ def strong_map_independence(
     return IndependenceReport(
         mode="strong",
         verdict=fold.verdict,
-        witness=assignment_at(net, hypothesis, fold.h_star),
+        witness=assignment_at(net, hypothesis, source.h_star),
         counterexample=fold.counterexample,
         min_joint=fold.min_joint,
         per_assignment=tuple(fold.rows) if table_limit is not None else None,
         skipped=tuple(fold.skipped),
-        ties_encountered=fold.ties,
-        warning=TIE_WARNING if fold.ties else None,
+        ties_encountered=source.ties,
+        warning=TIE_WARNING if source.ties else None,
         metrics=metrics,
         elapsed=time.perf_counter() - started,
     )
@@ -361,12 +346,14 @@ def weak_map_independence(
     )
     stop_early = short_circuit and table_limit is None
     folds: list[_Fold] = []
+    rows: list[SweepRow] = []
     for var in focus:
-        folds.append(source.fold((var,), stop_early=stop_early, table_limit=table_limit))
+        limit = None if table_limit is None else table_limit - len(rows)
+        folds.append(source.fold((var,), stop_early=stop_early, table_limit=limit))
+        rows += folds[-1].rows
         if stop_early and not folds[-1].verdict:
             break
     counterexample = next((f.counterexample for f in folds if not f.verdict), None)
-    rows = [row for f in folds for row in f.rows][:table_limit]
     return IndependenceReport(
         mode="weak",
         verdict=counterexample is None,

@@ -35,6 +35,7 @@ from .model import (
     Assignment,
     Network,
     ancestors,
+    as_assignment,
     assignment_at,
     assignment_count,
     canonical_vars,
@@ -304,8 +305,8 @@ def map_solve(
     raises the ``tie`` flag.  The context is the union of evidence and any
     extra conditioning assignment; its probability is the table's total.
     """
-    evidence = dict(evidence or {})
-    conditioning = dict(conditioning or {})
+    evidence = as_assignment(evidence or {})
+    conditioning = as_assignment(conditioning or {})
     hyp = canonical_vars(net, hypothesis)
     if not hyp:
         raise InvalidQueryError("hypothesis set must be non-empty")
@@ -342,7 +343,7 @@ def map_threshold(
     method: str = "ve",
 ) -> bool:
     """Whether Pr(h_star, evidence) strictly exceeds ``q``."""
-    evidence = dict(evidence or {})
+    evidence = as_assignment(evidence or {})
     if not h_star:
         raise InvalidQueryError("h_star must be non-empty")
     if set(h_star) & set(evidence):

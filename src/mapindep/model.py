@@ -159,7 +159,7 @@ class QueryPartition:
     focus: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "evidence", dict(self.evidence))
+        object.__setattr__(self, "evidence", as_assignment(self.evidence))
         object.__setattr__(self, "hypothesis", tuple(_collection(self.hypothesis)))
         object.__setattr__(self, "focus", tuple(_collection(self.focus)))
 
@@ -326,9 +326,16 @@ def _find_cycle(net: Network) -> list[str] | None:
     return None
 
 
+def as_assignment(assignment: Mapping[str, str]) -> Assignment:
+    """A dict copy of ``assignment``; anything but a mapping (a string, say) is refused."""
+    if not isinstance(assignment, Mapping):
+        raise InvalidQueryError(f"expected a mapping from variable names to states, got {assignment!r}")
+    return dict(assignment)
+
+
 def check_assignment(net: Network, assignment: Mapping[str, str]) -> None:
-    """Raise InvalidQueryError unless every binding names a real variable and state."""
-    for var, state in assignment.items():
+    """Raise InvalidQueryError unless ``assignment`` is a mapping of real variables to their states."""
+    for var, state in as_assignment(assignment).items():
         net.state_index(var, state)
 
 

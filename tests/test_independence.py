@@ -108,7 +108,7 @@ def test_strong_guard_bounds_intermediate_factors():
         return replace(strong_map_independence(net, part(evidence, ("H",), ("R",)), guard=guard), elapsed=0.0)
 
     # Observed, C stays in the elimination; unobserved, it is barren and pruned.
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^elimination table of 32 entries exceeds guard 16$"):
         answer({"C": "T"}, guard=16)
     assert answer({"C": "T"}, guard=64) == answer({"C": "T"})
     assert answer({}, guard=16) == answer({})
@@ -195,6 +195,30 @@ def test_weak_at_most_linear_in_focus_values(fig1b):
     # Table rows bound the sweep: two per binary focus variable.
     report = weak_map_independence(fig1b, part({"C": "T"}, ("A",), ("B", "E")), table_limit=100)
     assert len(report.per_assignment) == 4
+
+
+def test_weak_decodes_only_the_rows_it_reports(monkeypatch):
+    # Ten binary focus children of H and a table of 8: the rows are the
+    # first four variables' two each, and no later fold decodes any.
+    focus = tuple(f"R{i}" for i in range(10))
+    net = Network(
+        "ten_children",
+        (Variable("H", TF), *(Variable(r, TF) for r in focus)),
+        (Cpt("H", (), ((0.6, 0.4),)), *(Cpt(r, ("H",), ((0.7, 0.3), (0.4, 0.6))) for r in focus)),
+    )
+    built = []
+    sweep_row = independence.SweepRow
+
+    def counting(*args):
+        built.append(sweep_row(*args))
+        return built[-1]
+
+    monkeypatch.setattr(independence, "SweepRow", counting)
+    report = weak_map_independence(net, part({}, ("H",), focus), table_limit=8)
+    assert [row.assignment for row in report.per_assignment] == [
+        {r: state} for r in focus[:4] for state in TF
+    ]
+    assert built == list(report.per_assignment)
 
 
 def test_weak_full_sweep_keeps_first_counterexample():
@@ -657,6 +681,36 @@ def test_one_table_and_per_subset_tables_agree(monkeypatch):
     assert informative >= 40
 
 
+def test_strong_and_quantify_agree_on_both_table_sources(monkeypatch):
+    # Strong and quantify fold S = F = R, either summed over no axes of the
+    # one table (the default bound) or eliminated on their own (cell bound
+    # 0); both give the same table, so the reports must be equal exactly.
+    fold = independence._SubsetFolds.fold
+    one_table_used = set()
+
+    def recording(self, *args, **kwargs):
+        one_table_used.add(self._joint is not None)
+        return fold(self, *args, **kwargs)
+
+    monkeypatch.setattr(independence._SubsetFolds, "fold", recording)
+    rng = random.Random(1603)
+    default_bound = independence._JOINT_CELLS
+    for trial in range(40):
+        net = random_network(rng, rng.randint(4, 7), max_states=3 if trial % 2 else 2)
+        p = random_partition(rng, net, n_hypothesis=rng.randint(1, 2), n_focus=rng.randint(1, 4))
+        runs = []
+        for bound, one_table in ((0, False), (default_bound, True)):
+            monkeypatch.setattr(independence, "_JOINT_CELLS", bound)
+            runs.append((
+                replace(strong_map_independence(net, p), elapsed=0.0),
+                replace(strong_map_independence(net, p, table_limit=64), elapsed=0.0),
+                quantify(net, p),
+            ))
+            assert one_table_used == {one_table}
+            one_table_used.clear()
+        assert runs[0] == runs[1]
+
+
 def symmetric_hypothesis(net, h):
     """``net`` with ``h`` uniform and every child of ``h`` blind to it, so h's states tie exactly."""
     card = net.cardinality(h)
@@ -676,14 +730,15 @@ def test_later_folds_are_given_the_first_folds_h_star(monkeypatch, cells):
     # h* is the first maximiser of the first folded table's row sums; every
     # later fold of the same query must be handed that rank, not find its own.
     calls = []
-    fold = independence._fold
+    fold = independence._SubsetFolds.fold
 
-    def recording(*args, h_star_idx=None, **kwargs):
-        result = fold(*args, h_star_idx=h_star_idx, **kwargs)
-        calls.append((h_star_idx, result.h_star))
+    def recording(self, *args, **kwargs):
+        given = self.h_star
+        result = fold(self, *args, **kwargs)
+        calls.append((given, self.h_star))
         return result
 
-    monkeypatch.setattr(independence, "_fold", recording)
+    monkeypatch.setattr(independence._SubsetFolds, "fold", recording)
     monkeypatch.setattr(independence, "_JOINT_CELLS", cells)
     rng = random.Random(1511)
     handed_on = tied = 0

@@ -223,6 +223,18 @@ def test_a_string_of_variable_names_is_rejected(fig1b):
         joint_table(fig1b, "AB", {"C": "T"})
 
 
+def test_evidence_given_as_a_string_is_rejected(fig1b):
+    for call in (
+        lambda: map_solve(fig1b, ["A"], "C"),
+        lambda: map_solve(fig1b, ["A"], {"C": "T"}, "B"),
+        lambda: marginal(fig1b, "C"),
+        lambda: posterior(fig1b, {"A": "T"}, "C"),
+        lambda: map_threshold(fig1b, {"A": "T"}, "C"),
+    ):
+        with pytest.raises(InvalidQueryError, match="expected a mapping from variable names to states"):
+            call()
+
+
 def test_joint_table_eliminates_only_ancestors(monkeypatch):
     net = barren_network()
     seen = []

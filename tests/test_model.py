@@ -14,6 +14,7 @@ from mapindep.model import (
     _holds_everywhere,
     _locate_violations,
     canonical_vars,
+    check_assignment,
     d_separated,
     enumerate_assignments,
     min_fill_order,
@@ -353,6 +354,16 @@ def test_variable_list_given_as_a_string_is_rejected():
     ):
         with pytest.raises(InvalidQueryError, match="got the string"):
             list(call())
+
+
+def test_evidence_given_as_a_string_is_rejected(fig1b):
+    # dict("C") would fail with a bare ValueError, and "C".items() with an AttributeError.
+    for call in (
+        lambda: QueryPartition("C", ("A",), ("B",)),
+        lambda: check_assignment(fig1b, "C"),
+    ):
+        with pytest.raises(InvalidQueryError, match="expected a mapping from variable names to states, got 'C'"):
+            call()
 
 
 # ---------------------------------------------------------------------------
