@@ -450,6 +450,12 @@ def threshold_map_independence(
     probability is their exact minimum.  Zero-probability assignments
     simply fail the strict comparison.  Only the rows of a requested table
     are decoded into assignments.
+
+    The comparison is exact for a ``Fraction`` s too, yet compares doubles
+    only.  With f = float(s), the double nearest s, no double lies strictly
+    between s and f; so an entry p exceeds s exactly when p > f if f <= s,
+    and when p >= f if f > s.  Which of the two holds is decided once, by
+    one exact comparison of f with s.
     """
     started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
@@ -465,8 +471,10 @@ def threshold_map_independence(
     if evidence and joint_table(net, (), evidence, guard=guard) == 0.0:
         raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
 
-    # The strict comparison is exact for Fraction thresholds.
-    failing_rank = next((rank for rank, p in enumerate(joints) if not p > s), None)
+    # p > s exactly, as one comparison of doubles (see the docstring).
+    bound = float(s)
+    above = bound.__lt__ if bound <= s else bound.__le__
+    failing_rank = next((rank for rank, p in enumerate(joints) if not above(p)), None)
     rows = None
     if table_limit is not None:
         rows = tuple(

@@ -15,9 +15,11 @@ the table over the hypothesis.  A deliberately simple cross-check
 over each cell's completions.  Both are exact up to floating point and agree
 within 1e-9 on the network sizes this package targets.
 
-Arithmetic is plain double precision on both routes, with no underflow
-handling: a product below the smallest double becomes 0.0, so a Pr(e)
-that underflows is reported as infeasible evidence.
+Both routes keep their bookkeeping on integer ids (neighbor bitmasks,
+factor ids, state indices) resolved once per table.  Their arithmetic is
+plain double precision, with no underflow handling: a product below the
+smallest double becomes 0.0, so a Pr(e) that underflows is reported as
+infeasible evidence.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 import numpy as np
 
 from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError
 from .model import (
+    _min_fill,
     Assignment,
     Network,
     ancestors,
@@ -40,8 +44,6 @@ from .model import (
     assignment_count,
     canonical_vars,
     check_assignment,
-    enumerate_assignments,
-    min_fill_order,
     ordered_vars,
 )
 
@@ -89,35 +91,31 @@ def _base_factors(net: Network, names: list[str]) -> list[Factor]:
         if f is None:
             cpt = net.cpt(name)
             scope = (*cpt.parents, name)
-            shape = tuple(net.cardinality(s) for s in scope)
+            shape = tuple(map(net.cardinalities.__getitem__, scope))
             f = cache[name] = Factor(scope, np.asarray(cpt.rows, dtype=float).reshape(shape))
         factors.append(f)
     return factors
 
 
-def _restrict(f: Factor, var: str, idx: int) -> Factor:
-    axis = f.scope.index(var)
-    return Factor(f.scope[:axis] + f.scope[axis + 1:], np.take(f.values, idx, axis=axis))
-
-
-def _expand(f: Factor, scope: tuple[str, ...]) -> np.ndarray:
-    # Transpose the factor's axes into their order of appearance in ``scope``,
-    # then insert size-1 axes for the missing variables so broadcasting aligns.
-    positions = {v: i for i, v in enumerate(scope)}
-    perm = sorted(range(len(f.scope)), key=lambda i: positions[f.scope[i]])
-    values = f.values.transpose(perm)
+def _align(f_scope: tuple[str, ...], values: np.ndarray, scope: tuple[str, ...]) -> np.ndarray:
+    # Transpose the factor's axes into their order of appearance in ``scope``
+    # (unless they already are), then insert size-1 axes for the missing
+    # variables so broadcasting aligns.
+    axes = [f_scope.index(v) for v in scope if v in f_scope]
+    if axes != sorted(axes):
+        values = values.transpose(axes)
     sizes = iter(values.shape)
-    full_shape = tuple(next(sizes) if v in f.scope else 1 for v in scope)
-    return values.reshape(full_shape)
+    return values.reshape(tuple(next(sizes) if v in f_scope else 1 for v in scope))
 
 
-def _product(factors: list[Factor], scope: tuple[str, ...]) -> np.ndarray:
-    # ``scope`` starts with the first factor's scope, so trailing size-1 axes
-    # align it; the others are multiplied in left to right.
-    first = factors[0].values
+def _product(factors: list[tuple[tuple[str, ...], np.ndarray]], scope: tuple[str, ...]) -> np.ndarray:
+    # ``factors`` are (scope, values) pairs.  ``scope`` starts with the first
+    # factor's scope, so trailing size-1 axes align it; the others are
+    # multiplied in left to right.
+    first = factors[0][1]
     values = first.reshape(first.shape + (1,) * (len(scope) - first.ndim))
-    for f in factors[1:]:
-        values = values * _expand(f, scope)
+    for f_scope, f_values in factors[1:]:
+        values = values * _align(f_scope, f_values, scope)
     return values
 
 
@@ -142,54 +140,80 @@ def joint_table(
     bucket they touch, so a product can outgrow the final table; with a
     ``guard``, a plan whose final table or any product of two or more factors
     has more than ``guard`` entries raises CapacityError before any product.
+
+    The plan's bookkeeping runs on integer ids: the summed-out variables are
+    numbered in declaration order, their interaction graph is one bitmask per
+    variable, built from the restricted CPT scopes, and each bucket finds its
+    factors through a list of the ids of the factors that hold its variable.
+    The arithmetic is that of a plain bucket elimination over dense arrays:
+    the same products in the same order, so the same bits.
     """
     keep = ordered_vars(net, keep)
     observed = {var: net.state_index(var, state) for var, state in partial.items()}
     if set(keep) & set(observed):
         raise InvalidQueryError("kept variables must not be assigned")
     relevant = ancestors(net, (*keep, *observed))
-    factors: list[Factor] = []
-    for f in _base_factors(net, [v for v in net.names if v in relevant]):
-        for var in f.scope:
-            if var in observed:
-                f = _restrict(f, var, observed[var])
-        factors.append(f)
+    names = [v for v in net.names if v in relevant]
 
-    hidden = [v for v in net.names if v in relevant and v not in observed and v not in keep]
-    adjacency: dict[str, set[str]] = {v: set() for v in hidden}
-    for f in factors:
-        for a in f.scope:
-            if a in adjacency:
-                adjacency[a].update(b for b in f.scope if b != a and b in adjacency)
-    priority = {name: i for i, name in enumerate(net.names)}
-    order, _ = min_fill_order(adjacency, priority)
+    # Factor i is (scopes[i], arrays[i]): the restricted CPTs first, then each
+    # step's result.
+    scopes: list[tuple[str, ...]] = []
+    arrays: list[np.ndarray] = []
+    for f in _base_factors(net, names):
+        scope, values = f.scope, f.values
+        if not observed.keys().isdisjoint(scope):
+            axis = 0
+            for var in scope:
+                if var in observed:
+                    values = np.take(values, observed[var], axis=axis)
+                else:
+                    axis += 1
+            scope = tuple(v for v in scope if v not in observed)
+        scopes.append(scope)
+        arrays.append(values)
 
-    # The plan, one step per bucket: the ids of the factors it multiplies (the
-    # restricted CPTs first, then each step's result), the product's scope in
-    # order of first appearance, and the variable summed out.
-    scopes = [f.scope for f in factors]
-    live = list(range(len(scopes)))
+    hidden = [v for v in names if v not in observed and v not in keep]
+    ids = {v: i for i, v in enumerate(hidden)}
+    neighbours = [0] * len(hidden)
+    holders: list[list[int]] = [[] for _ in hidden]
+    for i, scope in enumerate(scopes):
+        members = [ids[v] for v in scope if v in ids]
+        mask = sum(1 << j for j in members)
+        for j in members:
+            neighbours[j] |= mask
+            holders[j].append(i)
+    order, _ = _min_fill(hidden, [ns & ~(1 << j) for j, ns in enumerate(neighbours)])
+
+    # The plan, one step per bucket: the ids of the factors it multiplies, in
+    # the order they were made, the product's scope in order of first
+    # appearance, and the variable summed out.
+    live = [True] * len(scopes)
     steps: list[tuple[list[int], tuple[str, ...], str]] = []
     for var in order:
-        ids = [i for i in live if var in scopes[i]]
-        live = [i for i in live if var not in scopes[i]]
-        scope = tuple(dict.fromkeys(v for i in ids for v in scopes[i]))
-        steps.append((ids, scope, var))
-        live.append(len(scopes))
-        scopes.append(tuple(v for v in scope if v != var))
-    final_scope = tuple(dict.fromkeys(v for i in live for v in scopes[i]))
+        bucket = [i for i in holders[ids[var]] if live[i]]
+        for i in bucket:
+            live[i] = False
+        scope = tuple(dict.fromkeys(v for i in bucket for v in scopes[i]))
+        steps.append((bucket, scope, var))
+        result = tuple(v for v in scope if v != var)
+        for v in result:
+            if v in ids:
+                holders[ids[v]].append(len(scopes))
+        scopes.append(result)
+        live.append(True)
+    rest = [i for i, alive in enumerate(live) if alive]
+    final_scope = tuple(dict.fromkeys(v for i in rest for v in scopes[i]))
     if guard is not None:
-        for scope in [s for ids, s, _ in steps if len(ids) > 1] + [final_scope]:
-            size = math.prod(net.cardinality(v) for v in scope)
+        cards = net.cardinalities
+        for scope in [s for bucket, s, _ in steps if len(bucket) > 1] + [final_scope]:
+            size = math.prod(cards[v] for v in scope)
             if size > guard:
                 raise CapacityError(f"elimination table of {size} entries exceeds guard {guard}")
 
-    for ids, scope, var in steps:
-        product = _product([factors[i] for i in ids], scope)
-        factors.append(Factor(scopes[len(factors)], product.sum(axis=scope.index(var))))
-    one = Factor((), np.array(1.0))
-    final = Factor(final_scope, _product([one, *(factors[i] for i in live)], final_scope))
-    return _expand(final, keep)
+    for bucket, scope, var in steps:
+        arrays.append(_product([(scopes[i], arrays[i]) for i in bucket], scope).sum(axis=scope.index(var)))
+    final = _product([((), np.array(1.0)), *((scopes[i], arrays[i]) for i in rest)], final_scope)
+    return _align(final_scope, final, keep)
 
 
 def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[bool]]:
@@ -207,14 +231,43 @@ def _brute_table(net: Network, keep: tuple[str, ...], partial: Mapping[str, str]
     """Pr(k, partial) for every assignment k to ``keep``, in row-major rank order.
 
     Each cell sums the chain-rule product over every completion of its
-    assignment, in rank order.
+    assignment, in rank order.  The product is ``joint_probability``'s,
+    factor for factor and with its early 0.0, taken over state indices
+    resolved once: every CPT's parent positions and cardinalities are looked
+    up before the first completion.
     """
+    keep = ordered_vars(net, keep)
     rest = tuple(v for v in net.names if v not in partial and v not in keep)
+    cards = net.cardinalities
+    position = {name: i for i, name in enumerate(net.names)}
+    chain = []
+    for i, name in enumerate(net.names):
+        cpt = net.cpt(name)
+        chain.append((i, cpt.rows, [(position[p], cards[p]) for p in cpt.parents]))
+    states = [0] * len(net.names)
+    for var, state in partial.items():
+        states[net.declaration_index(var)] = net.state_index(var, state)
+    keep_at = [position[v] for v in keep]
+    rest_at = [position[v] for v in rest]
     table = []
-    for k in enumerate_assignments(net, keep):
+    for k in product(*(range(cards[v]) for v in keep)):
+        for i, state in zip(keep_at, k):
+            states[i] = state
         total = 0.0
-        for c in enumerate_assignments(net, rest):
-            total += joint_probability(net, {**partial, **k, **c})
+        for c in product(*(range(cards[v]) for v in rest)):
+            for i, state in zip(rest_at, c):
+                states[i] = state
+            joint = 1.0
+            for i, rows, parents in chain:
+                row = 0
+                for j, card in parents:
+                    row = row * card + states[j]
+                entry = rows[row][states[i]]
+                if entry == 0.0:
+                    joint = 0.0
+                    break
+                joint *= entry
+            total += joint
         table.append(total)
     return table
 

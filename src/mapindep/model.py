@@ -17,12 +17,13 @@ Ordering conventions used throughout the package:
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from math import prod
 from operator import lt, sub
+from typing import TypeVar
 
 from .errors import InvalidQueryError, NetworkValidationError
 
@@ -30,6 +31,8 @@ from .errors import InvalidQueryError, NetworkValidationError
 Assignment = dict[str, str]
 
 ROW_SUM_TOL = 1e-9
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,11 @@ class Network:
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
+
+    @cached_property
+    def cardinalities(self) -> dict[str, int]:
+        """Each variable's number of states, by name."""
+        return {v.name: len(v.states) for v in self.variables}
 
     @cached_property
     def _var_index(self) -> dict[str, int]:
@@ -492,38 +500,73 @@ def min_fill_order(adjacency: Mapping[str, set[str]], priority: Mapping[str, int
     eliminates the node with the smallest key ``(fill, priority)``, where fill
     counts the non-adjacent pairs among its neighbors.  Priorities are
     expected to be distinct; equal keys go to the node first in
-    ``adjacency`` order.
-
-    Every key is computed once and then kept up to date: eliminating ``best``
-    with neighborhood N changes only the keys of N (their neighbor sets lost
-    ``best``) and, when ``best`` had non-zero fill, of the neighbors of N,
-    whose neighbor pairs the new fill edges among N may join.
+    ``adjacency`` order.  The nodes are numbered in that order and their
+    neighbor sets turned into bitmasks for ``_min_fill``, which counts fill
+    with ``int.bit_count`` and updates keys in place after a fill-0 step.
     """
-    adj = {v: set(ns) for v, ns in adjacency.items()}
+    nodes = sorted(adjacency, key=priority.__getitem__)
+    bit = {v: 1 << i for i, v in enumerate(nodes)}
+    return _min_fill(nodes, [sum(bit[a] for a in adjacency[v]) for v in nodes])
 
-    def key(v: str) -> tuple[int, int]:
-        return sum(1 for a, b in combinations(adj[v], 2) if b not in adj[a]), priority[v]
 
-    keys = {v: key(v) for v in adj}
-    order: list[str] = []
+def _min_fill(nodes: Sequence[T], neighbours: Sequence[int]) -> tuple[list[T], int]:
+    """``min_fill_order`` on node ids: node i is ``nodes[i]``, its neighbors the bits of ``neighbours[i]``.
+
+    Equal fills go to the lower id, so ``nodes`` lists the nodes by priority.
+    A node's fill is counted with ``int.bit_count``: each neighbor a of v
+    misses ``(N(v) & ~N(a)).bit_count() - 1`` of v's other neighbors, and
+    every missing pair is met from both ends.  Every key is computed once
+    and then kept up to date.  Eliminating ``best`` with fill 0 (its
+    neighbors N already a clique) adds no edge: each a in N only loses
+    ``best``, and with it the pairs of ``best`` with a's neighbors outside
+    N, ``(N(a) & ~N & ~bit(best)).bit_count()`` of them.  When ``best`` had
+    non-zero fill, the keys of N and of the neighbors of N are recounted,
+    since the new fill edges among N may join their neighbor pairs.
+    """
+    n = len(nodes)
+    adj = list(neighbours)
+
+    def fill(v: int) -> int:
+        nv = adj[v]
+        missing, rest = -nv.bit_count(), nv
+        while rest:
+            low = rest & -rest
+            missing += (nv & ~adj[low.bit_length() - 1]).bit_count()
+            rest ^= low
+        return missing // 2
+
+    # A key is fill * n + id, so the smallest key breaks equal fills on the id.
+    keys = {v: fill(v) * n + v for v in range(n)}
+    order: list[T] = []
     width = 0
     while keys:
-        best = min(keys, key=keys.__getitem__)
-        fill, _ = keys.pop(best)
-        ns = adj.pop(best)
-        width = max(width, len(ns))
-        for a in ns:
-            adj[a].discard(best)
-            for b in ns:
-                if a != b:
-                    adj[a].add(b)
-        changed = set(ns)
-        if fill:
-            for a in ns:
-                changed.update(adj[a])
-        for v in changed:
-            keys[v] = key(v)
-        order.append(best)
+        key = min(keys.values())
+        best = key % n
+        del keys[best]
+        ns, bit = adj[best], 1 << best
+        width = max(width, ns.bit_count())
+        rest = ns
+        if key < n:
+            while rest:
+                low = rest & -rest
+                a = low.bit_length() - 1
+                keys[a] -= (adj[a] & ~ns & ~bit).bit_count() * n
+                adj[a] &= ~bit
+                rest ^= low
+        else:
+            changed = ns
+            while rest:
+                low = rest & -rest
+                a = low.bit_length() - 1
+                adj[a] = (adj[a] | ns) & ~(bit | low)
+                changed |= adj[a]
+                rest ^= low
+            while changed:
+                low = changed & -changed
+                v = low.bit_length() - 1
+                keys[v] = fill(v) * n + v
+                changed ^= low
+        order.append(nodes[best])
     return order, width
 
 

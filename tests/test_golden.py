@@ -1,6 +1,7 @@
 """Golden CLI reports: the exact report bytes (``elapsed_ms`` lines dropped)
-and exit codes of one query per mode on the committed fixtures, plus the
-output of ``scripts/run_fixture_queries.py``.
+and exit codes of one query per mode on the committed fixtures, a few more
+on compiled formulas and a small gated network, plus the output of
+``scripts/run_fixture_queries.py``.
 
 "Same behaviour" for this package means the same report bytes, so an
 engine change that alters any of these files alters an answer, a tie flag,
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from mapindep.cli import run, save_network
+from mapindep.compiler import compile_network, parse_formula
 from mapindep.model import Cpt, Network, Variable
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,6 +43,9 @@ def gated_network() -> Network:
         ),
     )
 
+
+# Compiled formulas, named as networks: every root uniform, every other CPT 0/1.
+FORMULAS = {"and_or": "(x0 & x1) | x2", "or4": "x0 | x1 | x2 | x3"}
 
 FIG1B_STRONG = {"mode": "strong", "hypothesis": ["A"], "evidence": {"C": "T"}, "focus": ["B", "E"]}
 
@@ -67,6 +72,21 @@ CASES = {
          "h_star": {"H": "h1"}, "s": "3/16"},
         ("--table-limit", "2"),
     ),
+    # Pr(or_1=T, x0) is (3/8, 1/4): only the first entry exceeds the non-dyadic s.
+    "threshold_third": (
+        "and_or",
+        {"mode": "threshold", "hypothesis": ["or_1"], "evidence": {}, "focus": ["x0"],
+         "h_star": {"or_1": "T"}, "s": "1/3"},
+        ("--table-limit", "2"),
+    ),
+    # The query `mapindep compile --aset x0,x1 --emit-query` writes: the
+    # majority holds for every assignment to the A-set, so every row passes.
+    "threshold_majority_table": (
+        "or4",
+        {"mode": "threshold", "hypothesis": ["or_1"], "evidence": {}, "focus": ["x0", "x1"],
+         "h_star": {"or_1": "T"}, "s": "1/8"},
+        ("--table-limit", "4"),
+    ),
     "quantify_skipped_table": ("gated", {"mode": "quantify", "hypothesis": ["H"], "evidence": {"E": "T"},
                                          "focus": ["R"]}, ("--table-limit", "2")),
     "strong_strict_zeros": ("gated", {"mode": "strong", "hypothesis": ["H"], "evidence": {"E": "T"},
@@ -82,6 +102,10 @@ def network_path(name: str, workdir: Path) -> Path:
     if name == "gated":
         path = workdir / "gated.json"
         save_network(gated_network(), path)
+        return path
+    if name in FORMULAS:
+        path = workdir / f"{name}.json"
+        save_network(compile_network(parse_formula(FORMULAS[name])).network, path)
         return path
     return FIXTURES / f"{name}.json"
 

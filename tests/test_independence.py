@@ -16,7 +16,7 @@ from mapindep.independence import (
     weak_map_independence,
 )
 from mapindep.inference import map_solve
-from mapindep.model import Cpt, Network, QueryPartition, Variable, d_separated
+from mapindep.model import Cpt, Network, QueryPartition, Variable, assignment_at, d_separated
 from netgen import random_binary_network, random_network, random_partition
 from oracles import brute_columns, brute_quantify, brute_strong
 
@@ -363,6 +363,36 @@ def test_threshold_table(fn_ter):
         pytest.approx(0.22, abs=1e-15),
     ]
     assert all(row.map_assignment is None for row in report.per_assignment)
+
+
+def test_threshold_comparison_is_exact_for_every_s():
+    # Each s sits exactly on an entry p of the table, a hair (2^-60 to
+    # 2^-120 relative, below half an ulp) below or above it, one double away,
+    # or at a non-dyadic fraction.  The hair below rounds up to p itself, so
+    # the entry p > s holds only if the rule compares p >= float(s) there.
+    rng = random.Random(1853)
+    for _ in range(60):
+        net = random_network(rng, rng.randint(3, 7), max_states=3)
+        partition = random_partition(rng, net, rng.randint(0, 1), 1, rng.randint(1, 2))
+        h_star = {h: rng.choice(net.variable(h).states) for h in partition.hypothesis}
+        focus = tuple(v for v in net.names if v in partition.focus)
+        if inference.marginal(net, partition.evidence) == 0.0:
+            continue
+        joints = inference.joint_table(net, focus, {**partition.evidence, **h_star}).ravel().tolist()
+        for p in rng.sample(joints, min(3, len(joints))):
+            hair = Fraction(1, 2 ** rng.randint(60, 120))
+            for s in (
+                Fraction(p), Fraction(p) * (1 - hair), Fraction(p) * (1 + hair),
+                p, math.nextafter(p, 0.0), math.nextafter(p, 1.0),
+                Fraction(rng.randint(1, 999), 1000), Fraction(1, 3),
+            ):
+                if not 0 <= s < 1:
+                    continue
+                report = threshold_map_independence(net, h_star, partition, s)
+                failing = next((rank for rank, q in enumerate(joints) if not Fraction(q) > Fraction(s)), None)
+                assert report.verdict is (failing is None)
+                expected = None if failing is None else assignment_at(net, focus, failing)
+                assert report.counterexample == expected
 
 
 # ---------------------------------------------------------------------------

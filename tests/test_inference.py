@@ -14,13 +14,14 @@ from mapindep.inference import (
     marginal,
     posterior,
 )
-from mapindep.compiler import And, Not, Or, Var, build_amajsat_instance
+from mapindep.compiler import And, Not, Or, Var, build_amajsat_instance, compile_network
 from mapindep.independence import strong_map_independence, threshold_map_independence
 from mapindep.model import (
     Cpt,
     Network,
     QueryPartition,
     Variable,
+    _min_fill,
     assignment_at,
     enumerate_assignments,
     min_fill_order,
@@ -154,6 +155,32 @@ def test_brute_route_matches_independent_oracle_exactly():
         assert result.runner_up_gap == joints[best] - runner_up
 
 
+def test_brute_table_sums_joint_probability_exactly():
+    # The brute route resolves every state index once, yet each cell must
+    # still be the sum of joint_probability over its completions in rank
+    # order, to the bit.  Compiled formulas put 0/1 entries in the products.
+    rng = random.Random(1811)
+    for i in range(60):
+        if i % 2:
+            net = random_network(rng, rng.randint(3, 8), max_states=3)
+        else:
+            net = compile_network(formula_over(rng, [f"x{j}" for j in range(rng.randint(2, 4))], 2)).network
+        names = list(net.names)
+        rng.shuffle(names)
+        keep = tuple(names[:rng.randint(0, 2)])
+        evidence = random_assignment(rng, net, names[len(keep):len(keep) + rng.randint(0, 2)])
+        rest = [v for v in net.names if v not in keep and v not in evidence]
+        expected = []
+        for cell in enumerate_assignments(net, keep):
+            total = 0.0
+            for completion in enumerate_assignments(net, rest):
+                total += joint_probability(net, {**evidence, **cell, **completion})
+            expected.append(total)
+        table = inference._brute_table(net, keep, evidence)
+        assert [p.hex() for p in table] == [p.hex() for p in expected]
+        assert table == [brute_marginal(net, {**evidence, **cell}) for cell in enumerate_assignments(net, keep)]
+
+
 def test_ve_agrees_with_independent_oracle():
     rng = random.Random(29)
     for _ in range(15):
@@ -239,11 +266,11 @@ def test_joint_table_eliminates_only_ancestors(monkeypatch):
     net = barren_network()
     seen = []
 
-    def recording(adjacency, priority):
-        seen.append(set(adjacency))
-        return min_fill_order(adjacency, priority)
+    def recording(nodes, neighbours):
+        seen.append(set(nodes))
+        return _min_fill(nodes, neighbours)
 
-    monkeypatch.setattr(inference, "min_fill_order", recording)
+    monkeypatch.setattr(inference, "_min_fill", recording)
     cases = [
         ((), {}, set()),
         (("B",), {}, {"A"}),
@@ -275,11 +302,14 @@ def formula_over(rng, names, extra):
 def test_elimination_orders_match_full_rescan_on_compiled_formulas(monkeypatch):
     seen = []
 
-    def recording(adjacency, priority):
-        seen.append(({v: set(ns) for v, ns in adjacency.items()}, dict(priority)))
-        return min_fill_order(adjacency, priority)
+    def recording(nodes, neighbours):
+        # The hidden variables, in declaration order, and their interaction graph.
+        adjacency = {v: {u for j, u in enumerate(nodes) if mask >> j & 1} for v, mask in zip(nodes, neighbours)}
+        result = _min_fill(nodes, neighbours)
+        seen.append((adjacency, {v: i for i, v in enumerate(nodes)}, result))
+        return result
 
-    monkeypatch.setattr(inference, "min_fill_order", recording)
+    monkeypatch.setattr(inference, "_min_fill", recording)
     rng = random.Random(1620)
     for n_vars in (16, 17, 18, 19, 20):
         for _ in range(2):
@@ -290,9 +320,9 @@ def test_elimination_orders_match_full_rescan_on_compiled_formulas(monkeypatch):
             strong_map_independence(net, QueryPartition(evidence={}, hypothesis=(phi,), focus=focus))
             partition = QueryPartition(evidence=dict(query.evidence), hypothesis=(phi,), focus=query.focus)
             threshold_map_independence(net, query.h_star, partition, query.s)
-    assert sum(len(adjacency) > 20 for adjacency, _ in seen) >= 20
-    for adjacency, priority in seen:
-        assert min_fill_order(adjacency, priority) == brute_min_fill_order(adjacency, priority)
+    assert sum(len(adjacency) > 20 for adjacency, _, _ in seen) >= 20
+    for adjacency, priority, result in seen:
+        assert result == min_fill_order(adjacency, priority) == brute_min_fill_order(adjacency, priority)
 
 
 def test_factor_cache_holds_only_ancestral_cpts():
@@ -415,17 +445,17 @@ def test_joint_table_guard_checked_before_any_product(monkeypatch):
     net = two_children()
     observed = {"C": "T", "D": "T"}
     unguarded = joint_table(net, ("H",), observed)
-    expanded = []
-    original = inference._expand
+    aligned = []
+    original = inference._align
 
-    def counting(f, scope):
-        expanded.append(f.scope)
-        return original(f, scope)
+    def counting(f_scope, values, scope):
+        aligned.append(f_scope)
+        return original(f_scope, values, scope)
 
-    monkeypatch.setattr(inference, "_expand", counting)
+    monkeypatch.setattr(inference, "_align", counting)
     with pytest.raises(CapacityError):
         joint_table(net, ("H",), observed, guard=4)
-    assert expanded == []  # the 4-entry product over (H, Y1) was never formed
+    assert aligned == []  # the 4-entry product over (H, Y1) was never formed
     assert np.array_equal(joint_table(net, ("H",), observed, guard=8), unguarded)
 
 

@@ -13,6 +13,7 @@ from mapindep.model import (
     Violation,
     _holds_everywhere,
     _locate_violations,
+    _min_fill,
     canonical_vars,
     check_assignment,
     d_separated,
@@ -467,6 +468,51 @@ def test_min_fill_order_matches_full_rescan():
     for _ in range(2000):
         adjacency, priority = random_graph(rng)
         assert min_fill_order(adjacency, priority) == brute_min_fill_order(adjacency, priority)
+
+
+def near_chordal_graph(rng):
+    """A random tree or chordal graph on up to 25 nodes, plus up to 2 random extra edges.
+
+    Each new node joins a clique of the graph so far (a random node and some
+    of its pairwise adjacent neighbors; for a tree, the node alone), so the
+    graph before the extra edges is chordal and min-fill eliminates it with
+    fill 0 throughout; the extra edges make a few steps create fill.
+    """
+    names = [f"N{i}" for i in range(rng.randint(1, 25))]
+    tree = rng.random() < 0.5
+    adjacency = {names[0]: set()}
+    for v in names[1:]:
+        u = rng.choice(list(adjacency))
+        clique = [u]
+        if not tree:
+            for w in rng.sample(sorted(adjacency[u]), len(adjacency[u])):
+                if rng.random() < 0.6 and all(w in adjacency[c] for c in clique[1:]):
+                    clique.append(w)
+        adjacency[v] = set(clique)
+        for c in clique:
+            adjacency[c].add(v)
+    for _ in range(rng.randint(0, 2) if len(names) > 1 else 0):
+        a, b = rng.sample(names, 2)
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    order = list(adjacency)
+    rng.shuffle(order)
+    ranks = list(range(len(names)))
+    rng.shuffle(ranks)
+    return {v: adjacency[v] for v in order}, dict(zip(order, ranks))
+
+
+def test_min_fill_core_keeps_keys_up_to_date_on_near_chordal_graphs():
+    # Mostly fill-0 steps, which update each neighbor's key in place, with a
+    # few fill-creating steps between them, which recount.
+    rng = random.Random(1990)
+    for _ in range(1500):
+        adjacency, priority = near_chordal_graph(rng)
+        nodes = sorted(adjacency, key=priority.__getitem__)
+        masks = [sum(1 << nodes.index(a) for a in adjacency[v]) for v in nodes]
+        expected = brute_min_fill_order(adjacency, priority)
+        assert _min_fill(nodes, masks) == expected
+        assert min_fill_order(adjacency, priority) == expected
 
 
 def test_stats_width_matches_full_rescan_on_400_nodes():
