@@ -38,6 +38,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -163,25 +164,29 @@ def _array(value: Any, what: str) -> list:
 
 
 def network_from_document(doc: Any) -> Network:
+    """The network a document describes.  Names and states must be JSON
+    strings and table entries JSON numbers (integers load as floats): ``str``
+    and ``float`` would turn null, true or "0.5" into something else.  Types
+    are checked in one pass over the whole document, not per entry."""
     if not isinstance(doc, Mapping):
         raise DocumentError("network document must be a JSON object")
     try:
-        name = doc["name"]
-        variables = tuple([
-            Variable(str(v["name"]), tuple(map(str, _array(v["states"], "states"))))
-            for v in _array(doc["variables"], "variables")
-        ])
-        cpts = tuple([
-            Cpt(
-                str(c["variable"]),
-                tuple(map(str, _array(c["parents"], "parents"))),
-                tuple([tuple(map(float, _array(row, "table row"))) for row in _array(c["table"], "table")]),
-            )
-            for c in _array(doc["cpts"], "cpts")
-        ])
-    except (KeyError, TypeError, ValueError) as exc:
+        var_docs = _array(doc["variables"], "variables")
+        cpt_docs = _array(doc["cpts"], "cpts")
+        names = [v["name"] for v in var_docs]
+        states = [_array(v["states"], "states") for v in var_docs]
+        children = [c["variable"] for c in cpt_docs]
+        parents = [_array(c["parents"], "parents") for c in cpt_docs]
+        tables = [[_array(row, "table row") for row in _array(c["table"], "table")] for c in cpt_docs]
+        if not set(map(type, chain((doc["name"],), names, children, *states, *parents))) <= {str}:
+            raise DocumentError("malformed network document: names and states must be JSON strings")
+        if not set(map(type, chain.from_iterable(chain.from_iterable(tables)))) <= {float, int}:
+            raise DocumentError("malformed network document: table entries must be JSON numbers")
+        cpts = tuple(map(Cpt, children, map(tuple, parents),
+                         [tuple([tuple(map(float, row)) for row in table]) for table in tables]))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise DocumentError(f"malformed network document: {exc}") from exc
-    return Network(name=str(name), variables=variables, cpts=cpts)
+    return Network(doc["name"], tuple(map(Variable, names, map(tuple, states))), cpts)
 
 
 def _read_json(path: str | Path) -> Any:
@@ -218,7 +223,10 @@ def parse_threshold(value: Any) -> float | Fraction:
     if isinstance(value, bool):
         raise DocumentError("threshold s must be a number or fraction string")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DocumentError("threshold s must be in [0, 1), got an integer past the double range") from None
     if isinstance(value, str):
         try:
             return Fraction(value)

@@ -307,6 +307,7 @@ def marginal(net: Network, partial: Mapping[str, str], method: str = "ve") -> fl
 
 def posterior(net: Network, target: Mapping[str, str], evidence: Mapping[str, str], method: str = "ve") -> float:
     """Pr(target | evidence).  Zero-probability evidence is an error, not a NaN."""
+    target = as_assignment(target)
     if set(target) & set(evidence):
         raise InvalidQueryError("target and evidence must be disjoint")
     p_e = marginal(net, evidence, method)

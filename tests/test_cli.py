@@ -129,6 +129,37 @@ def test_network_fields_must_be_arrays(tmp_path, capsys, field, value):
     assert "must be a JSON array" in capsys.readouterr().err
 
 
+def _fig1b_with(field, value):
+    doc = json.loads(Path(FIG1B).read_text(encoding="utf-8"))
+    owner = {
+        "name": doc,
+        "states": next(v for v in doc["variables"] if v["name"] == "B"),
+        "table": next(c for c in doc["cpts"] if c["variable"] == "B"),
+    }[field]
+    owner[field] = value
+    return doc
+
+
+# str() and float() would load these as "None", "1" or 1.0 instead of refusing them.
+@pytest.mark.parametrize("field, value, message", [
+    ("table", [[True, False]], "table entries must be JSON numbers"),
+    ("table", [["0.5", "0.5"]], "table entries must be JSON numbers"),
+    ("name", None, "names and states must be JSON strings"),
+    ("states", [1, 2], "names and states must be JSON strings"),
+    ("table", [[10**400, 0]], "int too large to convert to float"),
+])
+def test_network_values_must_have_their_json_types(tmp_path, capsys, field, value, message):
+    path = write_query(tmp_path, "net.json", _fig1b_with(field, value))
+    assert run(["validate", "--network", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: malformed network document: {message}\n"
+
+
+def test_network_integer_entries_load_as_floats(tmp_path):
+    net = load_network(write_query(tmp_path, "net.json", _fig1b_with("table", [[1, 0]])))
+    assert net.cpt("B").rows == ((1.0, 0.0),)
+    assert all(type(p) is float for p in net.cpt("B").rows[0])
+
+
 def test_seventeen_digit_float_emission():
     text = emit_json({"p": 0.1 + 0.2})
     assert "0.30000000000000004" in text
@@ -340,6 +371,8 @@ def test_query_rejects_malformed_network_document(tmp_path, capsys, network, mes
      "query document may not hold NaN or Infinity"),
     ({**STRONG_QUERY, "note": {"bound": math.inf}}, "query document may not hold NaN or Infinity"),
     ({**STRONG_QUERY, "note": [-math.inf]}, "query document may not hold NaN or Infinity"),
+    ({**STRONG_QUERY, "mode": "threshold", "h_star": {"A": "T"}, "s": 10**400},
+     "threshold s must be in [0, 1), got an integer past the double range"),
 ])
 def test_query_rejects_malformed_query_document(tmp_path, capsys, query, message):
     path = write_query(tmp_path, "q.json", query)

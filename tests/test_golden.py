@@ -10,6 +10,10 @@ by this module's ``main`` and are regenerated only when a report change is
 intended::
 
     PYTHONPATH=src python tests/test_golden.py
+
+A new golden is one ``CASES`` entry and a regeneration.  CI runs every
+entry once more through the installed ``mapindep`` console script, by
+passing ``run_case`` a runner that calls it in a subprocess.
 """
 
 from __future__ import annotations
@@ -18,30 +22,15 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
-from mapindep.cli import run, save_network
+from mapindep.cli import emit_json, run, save_network
 from mapindep.compiler import compile_network, parse_formula
-from mapindep.model import Cpt, Network, Variable
+from conftest import FIXTURES, ROOT, gated_network
 
-ROOT = Path(__file__).resolve().parents[1]
-FIXTURES = ROOT / "fixtures"
 GOLDEN = ROOT / "tests" / "golden"
-TF = ("T", "F")
-
-
-def gated_network() -> Network:
-    # R copies E, so under E=T the focus assignment R=F has probability zero.
-    return Network(
-        "gated",
-        (Variable("E", TF), Variable("R", TF), Variable("H", TF)),
-        (
-            Cpt("E", (), ((0.5, 0.5),)),
-            Cpt("R", ("E",), ((1.0, 0.0), (0.0, 1.0))),
-            Cpt("H", (), ((0.7, 0.3),)),
-        ),
-    )
 
 
 # Compiled formulas, named as networks: every root uniform, every other CPT 0/1.
@@ -110,14 +99,18 @@ def network_path(name: str, workdir: Path) -> Path:
     return FIXTURES / f"{name}.json"
 
 
-def run_case(name: str, workdir: Path) -> str:
-    """Exit code line, then the report with its ``elapsed_ms`` line dropped."""
+def run_case(name: str, workdir: Path, runner: Callable[[list[str]], int] = run) -> str:
+    """Exit code line, then the report with its ``elapsed_ms`` line dropped.
+
+    ``runner`` takes the CLI's argv and returns its exit code: ``cli.run`` in
+    process here, the installed ``mapindep`` console script in CI.
+    """
     net, query, flags = CASES[name]
     query_path = workdir / f"{name}.query.json"
     query_path.write_text(json.dumps(query), encoding="utf-8")
     out = workdir / f"{name}.report.json"
-    code = run(["query", "--network", str(network_path(net, workdir)), "--query", str(query_path),
-                "--output", str(out), *flags])
+    code = runner(["query", "--network", str(network_path(net, workdir)), "--query", str(query_path),
+                   "--output", str(out), *flags])
     report = strip_elapsed(out.read_text(encoding="utf-8")) if out.exists() else ""
     return f"exit {code}\n{report}"
 
@@ -134,6 +127,17 @@ def fixture_script_output() -> str:
 def test_report_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert run_case(name, tmp_path) == expected
+
+
+def test_compile_emits_the_majority_table_case(tmp_path):
+    # `compile --aset --emit-query` writes the network and the query document
+    # that threshold_majority_table runs.
+    net, query, _ = CASES["threshold_majority_table"]
+    out, emitted = tmp_path / "compiled.json", tmp_path / "emitted.json"
+    assert run(["compile", "--formula", FORMULAS[net], "--aset", "x0,x1", "--out", str(out),
+                "--emit-query", str(emitted)]) == 0
+    assert emitted.read_text(encoding="utf-8") == emit_json(query)
+    assert out.read_text(encoding="utf-8") == network_path(net, tmp_path).read_text(encoding="utf-8")
 
 
 def test_fixture_script_matches_golden():

@@ -17,6 +17,7 @@ from mapindep.independence import (
 )
 from mapindep.inference import map_solve
 from mapindep.model import Cpt, Network, QueryPartition, Variable, assignment_at, d_separated
+from conftest import gated_network
 from netgen import random_binary_network, random_network, random_partition
 from oracles import brute_columns, brute_quantify, brute_strong
 
@@ -27,19 +28,6 @@ TF = ("T", "F")
 
 def part(evidence, hypothesis, focus):
     return QueryPartition(evidence=evidence, hypothesis=hypothesis, focus=focus)
-
-
-def gated_network():
-    # R is a deterministic copy of E, so observing E=T makes R=F impossible.
-    return Network(
-        "gated",
-        (Variable("E", TF), Variable("R", TF), Variable("H", TF)),
-        (
-            Cpt("E", (), ((0.5, 0.5),)),
-            Cpt("R", ("E",), ((1.0, 0.0), (0.0, 1.0))),
-            Cpt("H", (), ((0.7, 0.3),)),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,7 @@ def test_evidence_given_as_a_string_is_rejected(fig1b):
         lambda: map_solve(fig1b, ["A"], {"C": "T"}, "B"),
         lambda: marginal(fig1b, "C"),
         lambda: posterior(fig1b, {"A": "T"}, "C"),
+        lambda: posterior(fig1b, "A", {"C": "T"}),
         lambda: map_threshold(fig1b, {"A": "T"}, "C"),
     ):
         with pytest.raises(InvalidQueryError, match="expected a mapping from variable names to states"):
