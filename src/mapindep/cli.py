@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import reprlib
 import statistics
 import sys
 import time
@@ -193,12 +194,14 @@ def _read_json(path: str | Path) -> Any:
     """The parsed JSON document at ``path``; an unreadable file or bad JSON is a DocumentError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except ValueError as exc:  # besides JSONDecodeError, only int()'s digit limit raises it here
+        raise DocumentError(f"{path}: invalid JSON: an integer has too many digits to read") from exc
 
 
 def load_network(path: str | Path) -> Network:
@@ -231,7 +234,7 @@ def parse_threshold(value: Any) -> float | Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad fraction string {value!r}") from exc
+            raise DocumentError(f"bad fraction string {reprlib.repr(value)}") from exc
     raise DocumentError("threshold s must be a number or fraction string")
 
 
@@ -246,7 +249,7 @@ def load_query(path: str | Path) -> dict:
         raise DocumentError("query document may not hold NaN or Infinity") from None
     mode = doc.get("mode")
     if mode not in QUERY_MODES:
-        raise DocumentError(f"mode must be one of {QUERY_MODES}, got {mode!r}")
+        raise DocumentError(f"mode must be one of {QUERY_MODES}, got {reprlib.repr(mode)}")
     required = {
         "map": ("hypothesis",),
         "strong": ("hypothesis", "focus"),
@@ -506,7 +509,7 @@ def _cmd_query(args) -> int:
         if mode in ("strong", "quantify"):
             report = strong_map_independence(
                 net, partition, table_limit=table_limit, strict_zeros=args.strict_zeros,
-                short_circuit=mode == "strong", with_metrics=mode == "quantify"
+                with_metrics=mode == "quantify"
             )
             report = replace(report, mode=mode)
         elif mode == "weak":

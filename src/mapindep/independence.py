@@ -42,7 +42,7 @@ is one elimination, so there is no sweep to split.
 from __future__ import annotations
 
 import math
-import time
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -107,6 +107,13 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class IndependenceReport:
+    """One decider's answer, a deterministic value.  Every mode sets ``mode``,
+    ``verdict`` and ``witness``; strong, weak and threshold ``counterexample``
+    and, with a table, ``per_assignment``; strong and weak ``skipped``; strong
+    and threshold ``min_joint``; maximum ``subset``; strong, when asked,
+    ``metrics``.  ``warning`` follows ``ties_encountered``.
+    """
+
     mode: str
     verdict: bool
     witness: Assignment
@@ -116,9 +123,11 @@ class IndependenceReport:
     per_assignment: tuple[SweepRow, ...] | None = None
     skipped: tuple[Assignment, ...] = ()
     ties_encountered: bool = False
-    warning: str | None = None
     metrics: Quantification | None = None
-    elapsed: float = 0.0
+
+    @property
+    def warning(self) -> str | None:
+        return TIE_WARNING if self.ties_encountered else None
 
 
 @dataclass(frozen=True)
@@ -279,7 +288,6 @@ def strong_map_independence(
     Pr(e) too, but summed in another order its last digits differ, and
     ``mass`` is reported to 17 significant digits.
     """
-    started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
@@ -307,9 +315,7 @@ def strong_map_independence(
         per_assignment=tuple(fold.rows) if table_limit is not None else None,
         skipped=tuple(fold.skipped),
         ties_encountered=source.ties,
-        warning=TIE_WARNING if source.ties else None,
         metrics=metrics,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -337,7 +343,6 @@ def weak_map_independence(
     ``short_circuit`` is off, ends the loop.  Table rows follow the focus
     order, up to ``table_limit`` in all.
     """
-    started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
@@ -362,8 +367,6 @@ def weak_map_independence(
         per_assignment=tuple(rows) if table_limit is not None else None,
         skipped=tuple(r for f in folds for r in f.skipped),
         ties_encountered=source.ties,
-        warning=TIE_WARNING if source.ties else None,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -390,12 +393,11 @@ def maximum_map_independence(
     one table Pr(H, pool, e) while that has at most ``_JOINT_CELLS`` cells
     and fits the guard, else its own elimination.
     """
-    started = time.perf_counter()
     hypothesis, evidence, pool = resolve_partition(net, partition)
     if not pool:
         raise InvalidQueryError("candidate pool must be non-empty")
     if not 1 <= k <= len(pool):
-        raise InvalidQueryError(f"k must be between 1 and {len(pool)}, got {k}")
+        raise InvalidQueryError(f"k must be between 1 and {len(pool)}, got {reprlib.repr(k)}")
     if math.comb(len(pool), k) > guard:
         raise CapacityError(f"C({len(pool)}, {k}) exceeds guard {guard}")
     source = _SubsetFolds(
@@ -426,8 +428,6 @@ def maximum_map_independence(
         witness=assignment_at(net, hypothesis, source.h_star),
         subset=best,
         ties_encountered=source.ties,
-        warning=TIE_WARNING if source.ties else None,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -457,7 +457,6 @@ def threshold_map_independence(
     and when p >= f if f > s.  Which of the two holds is decided once, by
     one exact comparison of f with s.
     """
-    started = time.perf_counter()
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
@@ -487,7 +486,6 @@ def threshold_map_independence(
         counterexample=None if failing_rank is None else assignment_at(net, focus, failing_rank),
         min_joint=min(joints),
         per_assignment=rows,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -504,7 +502,7 @@ def quantify(
     report = strong_map_independence(
         net, partition,
         tie_tol=tie_tol, guard=guard,
-        strict_zeros=strict_zeros, short_circuit=False, with_metrics=True,
+        strict_zeros=strict_zeros, with_metrics=True,
     )
     return report.metrics
 

@@ -12,8 +12,9 @@ observed nor kept are summed out along a min-fill order.  A marginal is
 the table over no variables; the MAP solver takes the first maximiser of
 the table over the hypothesis.  A deliberately simple cross-check
 (``method="brute"``) builds the same tables by summing chain-rule products
-over each cell's completions.  Both are exact up to floating point and agree
-within 1e-9 on the network sizes this package targets.
+over each cell's completions; a full assignment's joint probability is its
+one product.  Both are exact up to floating point and agree within 1e-9 on
+the network sizes this package targets.
 
 Both routes keep their bookkeeping on integer ids (neighbor bitmasks,
 factor ids, state indices) resolved once per table.  Their arithmetic is
@@ -51,14 +52,6 @@ DEFAULT_TIE_TOL = 1e-9
 DEFAULT_GUARD = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
-class Factor:
-    """Dense non-negative table over ``scope``, row-major (last variable fastest)."""
-
-    scope: tuple[str, ...]
-    values: np.ndarray  # shape = per-variable cardinalities of scope
-
-
 @dataclass(frozen=True)
 class MapResult:
     """Outcome of a MAP query.
@@ -79,11 +72,12 @@ class MapResult:
 # ---------------------------------------------------------------------------
 # factor algebra
 
-_factor_cache: "weakref.WeakKeyDictionary[Network, dict[str, Factor]]" = weakref.WeakKeyDictionary()
+_factor_cache: "weakref.WeakKeyDictionary[Network, dict[str, tuple]]" = weakref.WeakKeyDictionary()
 
 
-def _base_factors(net: Network, names: list[str]) -> list[Factor]:
-    """The CPT factors of ``names``; each is built on first use and kept with the network."""
+def _base_factors(net: Network, names: list[str]) -> list[tuple[tuple[str, ...], np.ndarray]]:
+    """The CPTs of ``names`` as (scope, values) pairs, values row-major over scope =
+    (*parents, child); each is built on first use and kept with the network."""
     cache = _factor_cache.setdefault(net, {})
     factors = []
     for name in names:
@@ -92,7 +86,7 @@ def _base_factors(net: Network, names: list[str]) -> list[Factor]:
             cpt = net.cpt(name)
             scope = (*cpt.parents, name)
             shape = tuple(map(net.cardinalities.__getitem__, scope))
-            f = cache[name] = Factor(scope, np.asarray(cpt.rows, dtype=float).reshape(shape))
+            f = cache[name] = (scope, np.asarray(cpt.rows, dtype=float).reshape(shape))
         factors.append(f)
     return factors
 
@@ -159,8 +153,7 @@ def joint_table(
     # step's result.
     scopes: list[tuple[str, ...]] = []
     arrays: list[np.ndarray] = []
-    for f in _base_factors(net, names):
-        scope, values = f.scope, f.values
+    for scope, values in _base_factors(net, names):
         if not observed.keys().isdisjoint(scope):
             axis = 0
             for var in scope:
@@ -231,10 +224,10 @@ def _brute_table(net: Network, keep: tuple[str, ...], partial: Mapping[str, str]
     """Pr(k, partial) for every assignment k to ``keep``, in row-major rank order.
 
     Each cell sums the chain-rule product over every completion of its
-    assignment, in rank order.  The product is ``joint_probability``'s,
-    factor for factor and with its early 0.0, taken over state indices
-    resolved once: every CPT's parent positions and cardinalities are looked
-    up before the first completion.
+    assignment, in rank order: CPT entries multiplied in declaration order,
+    stopping at the first 0.0.  The product runs over state indices resolved
+    once: every CPT's parent positions and cardinalities are looked up
+    before the first completion.
     """
     keep = ordered_vars(net, keep)
     rest = tuple(v for v in net.names if v not in partial and v not in keep)
@@ -282,27 +275,13 @@ def joint_probability(net: Network, full: Mapping[str, str]) -> float:
         missing = [v for v in net.names if v not in full]
         raise InvalidQueryError(f"joint_probability needs a full assignment; missing {missing}")
     check_assignment(net, full)
-    product = 1.0
-    for v in net.variables:
-        cpt = net.cpt(v.name)
-        row = 0
-        for p in cpt.parents:
-            row = row * net.cardinality(p) + net.state_index(p, full[p])
-        entry = cpt.rows[row][net.state_index(v.name, full[v.name])]
-        if entry == 0.0:
-            return 0.0
-        product *= entry
-    return product
+    return _brute_table(net, (), full)[0]
 
 
 def marginal(net: Network, partial: Mapping[str, str], method: str = "ve") -> float:
     """Pr(partial), the probability of a (possibly empty) partial assignment."""
     check_assignment(net, partial)
-    if method == "ve":
-        return float(joint_table(net, (), partial))
-    if method == "brute":
-        return _brute_table(net, (), partial)[0]
-    raise InvalidQueryError(f"unknown inference method {method!r}")
+    return candidate_joints(net, (), partial, method)[0]
 
 
 def posterior(net: Network, target: Mapping[str, str], evidence: Mapping[str, str], method: str = "ve") -> float:

@@ -26,6 +26,7 @@ from mapindep.errors import DocumentError, NetworkValidationError
 from mapindep.model import Cpt, Network, Variable
 from conftest import FIXTURES
 from netgen import random_binary_network
+from test_golden import strip_elapsed
 
 TF = ("T", "F")
 
@@ -35,8 +36,9 @@ NAN_CPT = str(FIXTURES.parent / "tests" / "data" / "nan_cpt.json")
 
 
 def write_query(tmp_path, name, doc):
+    """Write ``doc`` as JSON; bytes are written as they are."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
     return str(path)
 
 
@@ -345,13 +347,16 @@ STRONG_QUERY = {"mode": "strong", "hypothesis": ["A"], "evidence": {"C": "T"}, "
 @pytest.mark.parametrize("network, message", [
     (["fig1b"], "network document must be a JSON object"),
     ({"name": "fig1b", "variables": []}, "malformed network document: 'cpts'"),
+    # An integer past int()'s default limit of 4,300 digits.
+    pytest.param(b'{"name": "fig1b", "variables": [], "cpts": [], "note": ' + b"9" * 5000 + b"}",
+                 "{path}: invalid JSON: an integer has too many digits to read", id="long-integer"),
 ])
 def test_query_rejects_malformed_network_document(tmp_path, capsys, network, message):
     net = write_query(tmp_path, "net.json", network)
     query = write_query(tmp_path, "q.json", STRONG_QUERY)
     out = tmp_path / "r.json"
     assert run(["query", "--network", net, "--query", query, "--output", str(out)]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=net)}\n"
     assert not out.exists()
 
 
@@ -373,12 +378,27 @@ def test_query_rejects_malformed_network_document(tmp_path, capsys, network, mes
     ({**STRONG_QUERY, "note": [-math.inf]}, "query document may not hold NaN or Infinity"),
     ({**STRONG_QUERY, "mode": "threshold", "h_star": {"A": "T"}, "s": 10**400},
      "threshold s must be in [0, 1), got an integer past the double range"),
+    pytest.param(b'{"mode": "map", "hypothesis": ["A"], "note": ' + b"9" * 5000 + b"}",
+                 "{path}: invalid JSON: an integer has too many digits to read", id="long-integer"),
+    pytest.param(b'{"mode": "map", "hypothesis": ["\xff"]}',
+                 "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 32: invalid start byte",
+                 id="not-utf-8"),
+    # Long values are echoed in brief.
+    ({**STRONG_QUERY, "mode": "x" * 5000},
+     "mode must be one of ('map', 'strong', 'weak', 'maximum', 'threshold', 'quantify', 'partition'), "
+     "got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ({**STRONG_QUERY, "mode": "threshold", "h_star": {"A": "T"}, "s": "9" * 5000},
+     "bad fraction string '999999999999...9999999999999'"),
+    ({**STRONG_QUERY, "mode": "maximum", "k": 10**400},
+     "k must be between 1 and 2, got 100000000000000000...0000000000000000000"),
 ])
 def test_query_rejects_malformed_query_document(tmp_path, capsys, query, message):
     path = write_query(tmp_path, "q.json", query)
     out = tmp_path / "r.json"
     assert run(["query", "--network", FIG1B, "--query", path, "--output", str(out)]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(path=path)}\n"
+    assert len(err) - len(path) < 200
     assert not out.exists()
 
 
@@ -523,10 +543,6 @@ def test_bench_rmax_out_of_range(fig1b):
 
 # ---------------------------------------------------------------------------
 # determinism
-
-
-def strip_elapsed(text: str) -> str:
-    return "\n".join(line for line in text.splitlines() if '"elapsed_ms"' not in line)
 
 
 def test_reports_byte_identical_modulo_elapsed(tmp_path):

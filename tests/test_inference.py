@@ -158,7 +158,10 @@ def test_brute_route_matches_independent_oracle_exactly():
 def test_brute_table_sums_joint_probability_exactly():
     # The brute route resolves every state index once, yet each cell must
     # still be the sum of joint_probability over its completions in rank
-    # order, to the bit.  Compiled formulas put 0/1 entries in the products.
+    # order, to the bit.  joint_probability is the brute table of a full
+    # assignment, so that sum is a consistency check; brute_marginal, which
+    # shares no code with the package, is the independent reference.
+    # Compiled formulas put 0/1 entries in the products.
     rng = random.Random(1811)
     for i in range(60):
         if i % 2:
@@ -337,10 +340,10 @@ def test_factor_cache_holds_only_ancestral_cpts():
         joint_table(net, keep, evidence)
         cached = inference._factor_cache[net]
         assert set(cached) == relevant
-        for name, f in cached.items():
+        for name, (scope, values) in cached.items():
             cpt = net.cpt(name)
-            assert f.scope == (*cpt.parents, name)
-            assert f.values.ravel().tolist() == [p for row in cpt.rows for p in row]
+            assert scope == (*cpt.parents, name)
+            assert values.ravel().tolist() == [p for row in cpt.rows for p in row]
     # A strong query's tables (Pr(e), the h* table, Pr(H, R, e)) need the
     # ancestors of H, R and e, and nothing else.
     net = barren_network()

@@ -10,6 +10,11 @@ alone, checked through the CLI on seeded random networks, without an oracle.
   states, so the first counterexample may be another one; it must still
   be a counterexample in the original network.  Queries that meet an exact
   tie are skipped, since the first maximiser moves with the order too.
+* Reorder.  Permuting the declaration order of the variables and of the
+  CPTs leaves the same answers, compared as for Relabel.  The canonical
+  order moves with the declarations, so partition's sets are compared as
+  sets, and maximum's subset is not compared: it is built greedily in
+  canonical order.
 """
 
 from __future__ import annotations
@@ -173,3 +178,32 @@ def test_permuting_states_keeps_every_verdict(tmp_path, capsys):
             _assert_same_answer(net, doc, result, other)
             checked += 1
     assert checked >= 150
+
+
+def test_reordering_declarations_keeps_every_answer(tmp_path, capsys):
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(f"reorder:{seed}")
+        net = random_network(rng, rng.randint(5, 8), max_parents=2, max_states=3)
+        variables, cpts = list(net.variables), list(net.cpts)
+        rng.shuffle(variables)
+        rng.shuffle(cpts)
+        cases = queries(rng, net)
+        before = answers(net, cases, tmp_path, capsys)
+        after = answers(Network(net.name, tuple(variables), tuple(cpts)), cases, tmp_path, capsys)
+        for (doc, _), (code, _, report), (other_code, _, other_report) in zip(cases, before, after):
+            assert code == other_code == 0, seed
+            result, other = json.loads(report)["result"], json.loads(other_report)["result"]
+            if result.get("ties_encountered") or result.get("tie") or other.get("ties_encountered") or other.get("tie"):
+                continue
+            for found in (result, other):
+                if doc["mode"] == "maximum":
+                    del found["subset"]
+                if doc["mode"] == "partition":
+                    found["relevant"], found["irrelevant"] = set(found["relevant"]), set(found["irrelevant"])
+            if doc["mode"] == "quantify":
+                for name in ("proportion", "mean_hamming"):
+                    assert other["metrics"][name] == result["metrics"][name], seed
+            _assert_same_answer(net, doc, result, other)
+            checked += 1
+    assert checked >= 250
