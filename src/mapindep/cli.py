@@ -52,6 +52,7 @@ from .errors import (
     InvalidQueryError,
     MapIndepError,
     NetworkValidationError,
+    brief,
 )
 from .independence import (
     IndependenceReport,
@@ -61,7 +62,7 @@ from .independence import (
     threshold_map_independence,
     weak_map_independence,
 )
-from .inference import DEFAULT_GUARD, MapResult, candidate_joints, map_solve, marginal
+from .inference import DEFAULT_GUARD, MapResult, candidate_joints, map_solve
 from .model import (
     Cpt,
     Network,
@@ -78,6 +79,9 @@ EXIT_USAGE = 1
 EXIT_INVALID_NETWORK = 2
 EXIT_INFEASIBLE = 3
 EXIT_CAPACITY = 4
+
+# How many levels of arrays and objects a query document may nest, its own included.
+MAX_QUERY_DEPTH = 64
 
 QUERY_MODES = ("map", "strong", "weak", "maximum", "threshold", "quantify", "partition")
 
@@ -202,6 +206,8 @@ def _read_json(path: str | Path) -> Any:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
     except ValueError as exc:  # besides JSONDecodeError, only int()'s digit limit raises it here
         raise DocumentError(f"{path}: invalid JSON: an integer has too many digits to read") from exc
+    except RecursionError:
+        raise DocumentError(f"{path}: invalid JSON: arrays or objects nested too deeply to read") from None
 
 
 def load_network(path: str | Path) -> Network:
@@ -242,6 +248,14 @@ def load_query(path: str | Path) -> dict:
     doc = _read_json(path)
     if not isinstance(doc, Mapping):
         raise DocumentError("query document must be a JSON object")
+    # The query is echoed into its report by a recursive writer, so a document
+    # nested past what it can write is refused before the query runs.
+    level, depth = [doc], 0
+    while level:
+        depth += 1
+        if depth > MAX_QUERY_DEPTH:
+            raise DocumentError(f"query document nests arrays and objects more than {MAX_QUERY_DEPTH} deep")
+        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c) if isinstance(v, (dict, list))]
     # The query is echoed into its report, where NaN or Infinity would not be JSON.
     try:
         json.dumps(doc, allow_nan=False)
@@ -387,12 +401,13 @@ def bench(
     intermediates = [v for v in net.names if v not in taken]
     if not 1 <= r_max <= len(intermediates):
         raise InvalidQueryError(f"rmax must be between 1 and {len(intermediates)}, got {r_max}")
-    # bench's checks: the partition, Pr(e) = 0, then |Omega(H)| (here a note, no rows).  A
-    # strong query checks its table's guards before Pr(e) = 0: failing both, it exits 4, bench 3.
+    # bench's checks: the partition, Pr(e) = 0 (its elimination guarded), then |Omega(H)|
+    # (here a note, no rows).  A strong query checks its table's guards before Pr(e) = 0:
+    # when Pr(e) = 0 and only the strong table is past the guard, it exits 4, bench 3.
     partition = QueryPartition(evidence=dict(evidence), hypothesis=tuple(hypothesis), focus=(intermediates[0],))
     hyp, evidence, _ = resolve_partition(net, partition)
-    if marginal(net, evidence) == 0.0:
-        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
+    if candidate_joints(net, (), evidence, guard=guard)[0] == 0.0:
+        raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
     count = assignment_count(net, hyp)
     if count > guard:
         truncated = f"stopped at |R|=1: |Omega(H)| = {count} exceeds guard {guard}"
@@ -411,7 +426,7 @@ def bench(
         for (focus, omega), samples in zip(sizes, times):
             t0 = time.perf_counter()
             for rank in range(omega):
-                candidate_joints(net, hyp, {**evidence, **assignment_at(net, focus, rank)})
+                candidate_joints(net, hyp, {**evidence, **assignment_at(net, focus, rank)}, guard=guard)
             samples.append(time.perf_counter() - t0)
     rows = [
         {"r_size": len(focus), "omega": omega, "median_seconds": statistics.median(samples)}
@@ -430,11 +445,11 @@ def _parse_evidence(text: str | None) -> dict[str, str]:
     out: dict[str, str] = {}
     for piece in text.split(","):
         if "=" not in piece:
-            raise InvalidQueryError(f"evidence must be VAR=STATE pairs, got {piece!r}")
+            raise InvalidQueryError(f"evidence must be VAR=STATE pairs, got {reprlib.repr(piece)}")
         var, state = piece.split("=", 1)
         var = var.strip()
         if var in out:
-            raise InvalidQueryError(f"evidence names {var!r} more than once")
+            raise InvalidQueryError(f"evidence names {reprlib.repr(var)} more than once")
         out[var] = state.strip()
     return out
 

@@ -7,6 +7,10 @@ an exceeded enumeration guard 4.
 
 from __future__ import annotations
 
+import reprlib
+from itertools import islice
+from typing import Mapping
+
 
 class MapIndepError(Exception):
     """Base class for every error raised by this package."""
@@ -43,3 +47,10 @@ class FormulaSyntaxError(MapIndepError):
 
 class DocumentError(MapIndepError):
     """A JSON document does not match its schema."""
+
+
+def brief(assignment: Mapping[str, str]) -> str:
+    """``repr(dict(assignment))`` kept short for an error message: its first
+    four entries in their own order, each name and state cut by ``reprlib``."""
+    items = [f"{reprlib.repr(k)}: {reprlib.repr(v)}" for k, v in islice(assignment.items(), 4)]
+    return "{" + ", ".join(items + ["..."] * (len(assignment) > 4)) + "}"

@@ -50,7 +50,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError
+from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError, brief
 from .inference import (
     DEFAULT_GUARD,
     DEFAULT_TIE_TOL,
@@ -224,7 +224,7 @@ class _SubsetFolds:
         if self.h_star is None:
             joints = table.sum(axis=1)
             if joints.sum() == 0.0:
-                raise InfeasibleQueryError(f"evidence {self._evidence!r} has probability zero")
+                raise InfeasibleQueryError(f"evidence {brief(self._evidence)} has probability zero")
             (self.h_star,), (self.ties,) = _column_argmax(joints.reshape(-1, 1), self._tie_tol)
         h_star = self.h_star
         argmax, ties = _column_argmax(table, self._tie_tol)
@@ -236,7 +236,7 @@ class _SubsetFolds:
                 r = assignment_at(net, subset, rank)
                 if self._strict_zeros:
                     raise InfeasibleQueryError(
-                        f"conditioning assignment {r!r} has probability zero under the evidence"
+                        f"conditioning assignment {brief(r)} has probability zero under the evidence"
                     )
                 fold.skipped.append(r)
                 fold.unchanged += 1  # vacuously: an impossible r cannot move the MAP
@@ -464,11 +464,13 @@ def threshold_map_independence(
         raise InvalidQueryError("h_star must assign exactly the hypothesis variables")
     check_assignment(net, h_star)
     if not 0 <= s < 1:
-        raise InvalidQueryError(f"threshold s must be in [0, 1), got {s}")
+        # str(s) cut in the middle when long: reprlib quotes it, and str(s) holds no quote.
+        raise InvalidQueryError(f"threshold s must be in [0, 1), got {reprlib.repr(str(s))[1:-1]}")
 
     joints = joint_table(net, focus, {**evidence, **h_star}, guard=guard).ravel().tolist()
-    if evidence and joint_table(net, (), evidence, guard=guard) == 0.0:
-        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
+    # A positive entry proves Pr(e) > 0, so only an all-zero table needs Pr(e) itself.
+    if evidence and not any(joints) and joint_table(net, (), evidence, guard=guard) == 0.0:
+        raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
 
     # p > s exactly, as one comparison of doubles (see the docstring).
     bound = float(s)

@@ -16,11 +16,12 @@ over each cell's completions; a full assignment's joint probability is its
 one product.  Both are exact up to floating point and agree within 1e-9 on
 the network sizes this package targets.
 
-Both routes keep their bookkeeping on integer ids (neighbor bitmasks,
-factor ids, state indices) resolved once per table.  Their arithmetic is
-plain double precision, with no underflow handling: a product below the
-smallest double becomes 0.0, so a Pr(e) that underflows is reported as
-infeasible evidence.
+Both routes keep their bookkeeping on integer ids resolved once per table:
+every elimination scope is a tuple of per-call variable ids, and the brute
+route resolves state indices and parent positions.  CPT arrays are read in
+one pass and kept with the network.  The arithmetic is plain double
+precision, with no underflow handling: a product below the smallest double
+becomes 0.0, so a Pr(e) that underflows is reported as infeasible evidence.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError
+from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError, brief
 from .model import (
     _min_fill,
     Assignment,
@@ -77,39 +78,40 @@ _factor_cache: "weakref.WeakKeyDictionary[Network, dict[str, tuple]]" = weakref.
 
 def _base_factors(net: Network, names: list[str]) -> list[tuple[tuple[str, ...], np.ndarray]]:
     """The CPTs of ``names`` as (scope, values) pairs, values row-major over scope =
-    (*parents, child); each is built on first use and kept with the network."""
+    (*parents, child).  The CPTs not yet cached with the network are read in one
+    ``np.fromiter`` pass, and each is a reshaped slice of that array."""
     cache = _factor_cache.setdefault(net, {})
-    factors = []
-    for name in names:
-        f = cache.get(name)
-        if f is None:
-            cpt = net.cpt(name)
-            scope = (*cpt.parents, name)
+    missing = [net.cpt(name) for name in names if name not in cache]
+    if missing:
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(cpt.rows for cpt in missing)), float)
+        start = 0
+        for cpt in missing:
+            scope = (*cpt.parents, cpt.child)
             shape = tuple(map(net.cardinalities.__getitem__, scope))
-            f = cache[name] = (scope, np.asarray(cpt.rows, dtype=float).reshape(shape))
-        factors.append(f)
-    return factors
+            stop = start + math.prod(shape)
+            cache[cpt.child] = (scope, flat[start:stop].reshape(shape))
+            start = stop
+    return [cache[name] for name in names]
 
 
-def _align(f_scope: tuple[str, ...], values: np.ndarray, scope: tuple[str, ...]) -> np.ndarray:
+def _align(f_scope: tuple[int, ...], values: np.ndarray, scope: tuple[int, ...], cards: list[int]) -> np.ndarray:
     # Transpose the factor's axes into their order of appearance in ``scope``
     # (unless they already are), then insert size-1 axes for the missing
     # variables so broadcasting aligns.
     axes = [f_scope.index(v) for v in scope if v in f_scope]
     if axes != sorted(axes):
         values = values.transpose(axes)
-    sizes = iter(values.shape)
-    return values.reshape(tuple(next(sizes) if v in f_scope else 1 for v in scope))
+    return values.reshape([cards[v] if v in f_scope else 1 for v in scope])
 
 
-def _product(factors: list[tuple[tuple[str, ...], np.ndarray]], scope: tuple[str, ...]) -> np.ndarray:
+def _product(factors: list[tuple[tuple[int, ...], np.ndarray]], scope: tuple[int, ...], cards: list[int]) -> np.ndarray:
     # ``factors`` are (scope, values) pairs.  ``scope`` starts with the first
     # factor's scope, so trailing size-1 axes align it; the others are
     # multiplied in left to right.
     first = factors[0][1]
     values = first.reshape(first.shape + (1,) * (len(scope) - first.ndim))
     for f_scope, f_values in factors[1:]:
-        values = values * _align(f_scope, f_values, scope)
+        values = values * _align(f_scope, f_values, scope, cards)
     return values
 
 
@@ -135,12 +137,13 @@ def joint_table(
     ``guard``, a plan whose final table or any product of two or more factors
     has more than ``guard`` entries raises CapacityError before any product.
 
-    The plan's bookkeeping runs on integer ids: the summed-out variables are
-    numbered in declaration order, their interaction graph is one bitmask per
-    variable, built from the restricted CPT scopes, and each bucket finds its
-    factors through a list of the ids of the factors that hold its variable.
+    Variables are numbered once per call, the summed-out ones first in
+    declaration order, then the kept ones; every scope is a tuple of these
+    ids, and the restriction loop also builds the interaction graph (one
+    bitmask per summed-out variable) and each variable's list of factors.
     The arithmetic is that of a plain bucket elimination over dense arrays:
-    the same products in the same order, so the same bits.
+    the same products in the same order, so the same bits; a bucket of one
+    factor is summed without a product.
     """
     keep = ordered_vars(net, keep)
     observed = {var: net.state_index(var, state) for var, state in partial.items()}
@@ -148,11 +151,17 @@ def joint_table(
         raise InvalidQueryError("kept variables must not be assigned")
     relevant = ancestors(net, (*keep, *observed))
     names = [v for v in net.names if v in relevant]
+    hidden = [v for v in names if v not in observed and v not in keep]
+    n = len(hidden)
+    ids = {v: i for i, v in enumerate((*hidden, *keep))}
+    cards = list(map(net.cardinalities.__getitem__, ids))
 
     # Factor i is (scopes[i], arrays[i]): the restricted CPTs first, then each
     # step's result.
-    scopes: list[tuple[str, ...]] = []
+    scopes: list[tuple[int, ...]] = []
     arrays: list[np.ndarray] = []
+    neighbours = [0] * n
+    holders: list[list[int]] = [[] for _ in hidden]
     for scope, values in _base_factors(net, names):
         if not observed.keys().isdisjoint(scope):
             axis = 0
@@ -161,52 +170,50 @@ def joint_table(
                     values = np.take(values, observed[var], axis=axis)
                 else:
                     axis += 1
-            scope = tuple(v for v in scope if v not in observed)
-        scopes.append(scope)
-        arrays.append(values)
-
-    hidden = [v for v in names if v not in observed and v not in keep]
-    ids = {v: i for i, v in enumerate(hidden)}
-    neighbours = [0] * len(hidden)
-    holders: list[list[int]] = [[] for _ in hidden]
-    for i, scope in enumerate(scopes):
-        members = [ids[v] for v in scope if v in ids]
-        mask = sum(1 << j for j in members)
+        scope = tuple([ids[v] for v in scope if v in ids])
+        members = [j for j in scope if j < n]
+        mask = sum([1 << j for j in members])
         for j in members:
             neighbours[j] |= mask
-            holders[j].append(i)
+            holders[j].append(len(scopes))
+        scopes.append(scope)
+        arrays.append(values)
     order, _ = _min_fill(hidden, [ns & ~(1 << j) for j, ns in enumerate(neighbours)])
 
     # The plan, one step per bucket: the ids of the factors it multiplies, in
     # the order they were made, the product's scope in order of first
-    # appearance, and the variable summed out.
+    # appearance, and the axis summed out.
     live = [True] * len(scopes)
-    steps: list[tuple[list[int], tuple[str, ...], str]] = []
-    for var in order:
-        bucket = [i for i in holders[ids[var]] if live[i]]
+    steps: list[tuple[list[int], tuple[int, ...], int]] = []
+    for var in map(ids.__getitem__, order):
+        bucket = [i for i in holders[var] if live[i]]
         for i in bucket:
             live[i] = False
         scope = tuple(dict.fromkeys(v for i in bucket for v in scopes[i]))
-        steps.append((bucket, scope, var))
-        result = tuple(v for v in scope if v != var)
+        axis = scope.index(var)
+        steps.append((bucket, scope, axis))
+        result = scope[:axis] + scope[axis + 1:]
         for v in result:
-            if v in ids:
-                holders[ids[v]].append(len(scopes))
+            if v < n:
+                holders[v].append(len(scopes))
         scopes.append(result)
         live.append(True)
     rest = [i for i, alive in enumerate(live) if alive]
     final_scope = tuple(dict.fromkeys(v for i in rest for v in scopes[i]))
     if guard is not None:
-        cards = net.cardinalities
         for scope in [s for bucket, s, _ in steps if len(bucket) > 1] + [final_scope]:
-            size = math.prod(cards[v] for v in scope)
+            size = math.prod(map(cards.__getitem__, scope))
             if size > guard:
                 raise CapacityError(f"elimination table of {size} entries exceeds guard {guard}")
 
-    for bucket, scope, var in steps:
-        arrays.append(_product([(scopes[i], arrays[i]) for i in bucket], scope).sum(axis=scope.index(var)))
-    final = _product([((), np.array(1.0)), *((scopes[i], arrays[i]) for i in rest)], final_scope)
-    return _align(final_scope, final, keep)
+    for bucket, scope, axis in steps:
+        if len(bucket) == 1:
+            values = arrays[bucket[0]]
+        else:
+            values = _product([(scopes[i], arrays[i]) for i in bucket], scope, cards)
+        arrays.append(np.add.reduce(values, axis=axis))
+    final = _product([((), np.array(1.0)), *((scopes[i], arrays[i]) for i in rest)], final_scope, cards)
+    return _align(final_scope, final, tuple(range(n, len(cards))), cards)
 
 
 def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[bool]]:
@@ -291,7 +298,7 @@ def posterior(net: Network, target: Mapping[str, str], evidence: Mapping[str, st
         raise InvalidQueryError("target and evidence must be disjoint")
     p_e = marginal(net, evidence, method)
     if p_e == 0.0:
-        raise InfeasibleQueryError(f"evidence {dict(evidence)!r} has probability zero")
+        raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
     return marginal(net, {**target, **evidence}, method) / p_e
 
 
@@ -354,7 +361,7 @@ def map_solve(
     joints = candidate_joints(net, hyp, context, method, guard=guard)
     p_context = sum(joints)
     if p_context == 0.0:
-        raise InfeasibleQueryError(f"conditioning context {context!r} has probability zero")
+        raise InfeasibleQueryError(f"conditioning context {brief(context)} has probability zero")
 
     (best_idx,), (tie,) = _column_argmax(np.asarray(joints).reshape(-1, 1), tie_tol)
     best = joints[best_idx]
@@ -384,5 +391,5 @@ def map_threshold(
     check_assignment(net, h_star)
     check_assignment(net, evidence)
     if evidence and marginal(net, evidence, method) == 0.0:
-        raise InfeasibleQueryError(f"evidence {evidence!r} has probability zero")
+        raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
     return marginal(net, {**h_star, **evidence}, method) > q

@@ -17,6 +17,7 @@ Ordering conventions used throughout the package:
 from __future__ import annotations
 
 import heapq
+import reprlib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -100,11 +101,14 @@ class Network:
                     out[p].append(c.child)
         return {k: tuple(v) for k, v in out.items()}
 
+    def _unknown_variable(self, name: str) -> InvalidQueryError:
+        return InvalidQueryError(f"unknown variable {reprlib.repr(name)} in network {reprlib.repr(self.name)}")
+
     def variable(self, name: str) -> Variable:
         try:
             return self.variables[self._var_index[name]]
         except KeyError:
-            raise InvalidQueryError(f"unknown variable {name!r} in network {self.name!r}") from None
+            raise self._unknown_variable(name) from None
 
     def cpt(self, name: str) -> Cpt:
         self.variable(name)
@@ -120,11 +124,11 @@ class Network:
     def state_index(self, var: str, state: str) -> int:
         table = self._state_index.get(var)
         if table is None:
-            raise InvalidQueryError(f"unknown variable {var!r} in network {self.name!r}")
+            raise self._unknown_variable(var)
         try:
             return table[state]
         except KeyError:
-            raise InvalidQueryError(f"unknown state {state!r} for variable {var!r}") from None
+            raise InvalidQueryError(f"unknown state {reprlib.repr(state)} for variable {reprlib.repr(var)}") from None
 
     def cardinality(self, name: str) -> int:
         return self.variable(name).cardinality
@@ -133,7 +137,7 @@ class Network:
         try:
             return self._var_index[name]
         except KeyError:
-            raise InvalidQueryError(f"unknown variable {name!r} in network {self.name!r}") from None
+            raise self._unknown_variable(name) from None
 
 
 @dataclass(frozen=True)
@@ -337,7 +341,7 @@ def _find_cycle(net: Network) -> list[str] | None:
 def as_assignment(assignment: Mapping[str, str]) -> Assignment:
     """A dict copy of ``assignment``; anything but a mapping (a string, say) is refused."""
     if not isinstance(assignment, Mapping):
-        raise InvalidQueryError(f"expected a mapping from variable names to states, got {assignment!r}")
+        raise InvalidQueryError(f"expected a mapping from variable names to states, got {reprlib.repr(assignment)}")
     return dict(assignment)
 
 
@@ -350,7 +354,7 @@ def check_assignment(net: Network, assignment: Mapping[str, str]) -> None:
 def _collection(vars: Iterable[str]) -> Iterable[str]:
     """``vars`` itself, unless it is a string: that would iterate into its characters."""
     if isinstance(vars, str):
-        raise InvalidQueryError(f"expected a collection of variable names, got the string {vars!r}")
+        raise InvalidQueryError(f"expected a collection of variable names, got the string {reprlib.repr(vars)}")
     return vars
 
 
@@ -364,7 +368,7 @@ def ordered_vars(net: Network, vars: Iterable[str]) -> tuple[str, ...]:
     for n in names:
         net.variable(n)
     if len(set(names)) != len(names):
-        raise InvalidQueryError(f"duplicate variables in {names}")
+        raise InvalidQueryError(f"duplicate variables in {reprlib.repr(names)}")
     if not isinstance(vars, (list, tuple)):
         names.sort(key=net.declaration_index)
     return tuple(names)
@@ -520,8 +524,10 @@ def _min_fill(nodes: Sequence[T], neighbours: Sequence[int]) -> tuple[list[T], i
     neighbors N already a clique) adds no edge: each a in N only loses
     ``best``, and with it the pairs of ``best`` with a's neighbors outside
     N, ``(N(a) & ~N & ~bit(best)).bit_count()`` of them.  When ``best`` had
-    non-zero fill, the keys of N and of the neighbors of N are recounted,
-    since the new fill edges among N may join their neighbor pairs.
+    non-zero fill, the new fill edges all join two members of N, so only
+    the nodes of N and the nodes outside N with two or more neighbors in N
+    can have a neighbor pair whose adjacency changed; their keys are
+    recounted and every other key stands.
     """
     n = len(nodes)
     adj = list(neighbours)
@@ -554,13 +560,16 @@ def _min_fill(nodes: Sequence[T], neighbours: Sequence[int]) -> tuple[list[T], i
                 adj[a] &= ~bit
                 rest ^= low
         else:
-            changed = ns
+            once = twice = 0
             while rest:
                 low = rest & -rest
                 a = low.bit_length() - 1
                 adj[a] = (adj[a] | ns) & ~(bit | low)
-                changed |= adj[a]
+                outside = adj[a] & ~ns
+                twice |= once & outside
+                once |= outside
                 rest ^= low
+            changed = ns | twice
             while changed:
                 low = changed & -changed
                 v = low.bit_length() - 1

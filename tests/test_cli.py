@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mapindep import cli
 from mapindep.cli import (
     EXIT_CAPACITY,
     EXIT_INFEASIBLE,
@@ -22,7 +23,8 @@ from mapindep.cli import (
     run,
     save_network,
 )
-from mapindep.errors import DocumentError, NetworkValidationError
+from mapindep.errors import CapacityError, DocumentError, InfeasibleQueryError, NetworkValidationError
+from mapindep.inference import candidate_joints, map_threshold, posterior
 from mapindep.model import Cpt, Network, Variable
 from conftest import FIXTURES
 from netgen import random_binary_network
@@ -350,6 +352,8 @@ STRONG_QUERY = {"mode": "strong", "hypothesis": ["A"], "evidence": {"C": "T"}, "
     # An integer past int()'s default limit of 4,300 digits.
     pytest.param(b'{"name": "fig1b", "variables": [], "cpts": [], "note": ' + b"9" * 5000 + b"}",
                  "{path}: invalid JSON: an integer has too many digits to read", id="long-integer"),
+    pytest.param(b'{"name": "fig1b", "variables": [], "cpts": [], "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 "{path}: invalid JSON: arrays or objects nested too deeply to read", id="nested-100000"),
 ])
 def test_query_rejects_malformed_network_document(tmp_path, capsys, network, message):
     net = write_query(tmp_path, "net.json", network)
@@ -391,6 +395,16 @@ def test_query_rejects_malformed_network_document(tmp_path, capsys, network, mes
      "bad fraction string '999999999999...9999999999999'"),
     ({**STRONG_QUERY, "mode": "maximum", "k": 10**400},
      "k must be between 1 and 2, got 100000000000000000...0000000000000000000"),
+    ({**STRONG_QUERY, "mode": "threshold", "h_star": {"A": "T"}, "s": "9" * 500},
+     "threshold s must be in [0, 1), got 999999999999...9999999999999"),
+    ({**STRONG_QUERY, "hypothesis": ["x" * 5000]}, "unknown variable 'xxxxxxxxxxxx...xxxxxxxxxxxxx' in network 'fig1b'"),
+    ({**STRONG_QUERY, "evidence": {"C": "T" * 5000}}, "unknown state 'TTTTTTTTTTTT...TTTTTTTTTTTTT' for variable 'C'"),
+    ({**STRONG_QUERY, "focus": ["B"] * 3000}, "duplicate variables in ['B', 'B', 'B', 'B', 'B', 'B', ...]"),
+    # The report echoes the query, so nesting is refused before the query runs.
+    pytest.param(b'{"mode": "map", "hypothesis": ["A"], "note": ' + b"[" * 400 + b"]" * 400 + b"}",
+                 "query document nests arrays and objects more than 64 deep", id="nested-400"),
+    pytest.param(b'{"mode": "map", "hypothesis": ["A"], "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 "{path}: invalid JSON: arrays or objects nested too deeply to read", id="nested-100000"),
 ])
 def test_query_rejects_malformed_query_document(tmp_path, capsys, query, message):
     path = write_query(tmp_path, "q.json", query)
@@ -400,6 +414,58 @@ def test_query_rejects_malformed_query_document(tmp_path, capsys, query, message
     assert err == f"error: {message.format(path=path)}\n"
     assert len(err) - len(path) < 200
     assert not out.exists()
+
+
+def test_query_nesting_limit_counts_the_document_itself(tmp_path, capsys):
+    def note(depth):
+        return b'{"mode": "map", "hypothesis": ["A"], "note": ' + b"[" * depth + b"]" * depth + b"}"
+
+    out = tmp_path / "r.json"
+    assert run(["query", "--network", FIG1B, "--query", write_query(tmp_path, "ok.json", note(63)),
+                "--output", str(out)]) == EXIT_OK
+    assert read_report(out)["query"]["note"] == json.loads(b"[" * 63 + b"]" * 63)
+    assert run(["query", "--network", FIG1B, "--query", write_query(tmp_path, "deep.json", note(64)),
+                "--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: query document nests arrays and objects more than 64 deep\n"
+
+
+def test_infeasible_evidence_on_many_variables_is_echoed_in_brief(tmp_path, capsys):
+    # 200 observed roots, one of them in a state of probability zero.
+    roots = [f"V{i}" for i in range(200)]
+    net = Network(
+        "many-roots",
+        tuple(Variable(v, TF) for v in ("H", "R", *roots)),
+        (
+            Cpt("H", (), ((0.7, 0.3),)),
+            Cpt("R", ("H",), ((0.9, 0.1), (0.2, 0.8))),
+            Cpt("V0", (), ((1.0, 0.0),)),
+            *(Cpt(v, (), ((0.5, 0.5),)) for v in roots[1:]),
+        ),
+    )
+    net_path = str(tmp_path / "net.json")
+    save_network(net, net_path)
+    evidence = {v: "F" if v == "V0" else "T" for v in roots}
+    flag = ",".join(f"{v}={state}" for v, state in evidence.items())
+    strong = {"mode": "strong", "hypothesis": ["H"], "evidence": evidence, "focus": ["R"]}
+    threshold = {**strong, "mode": "threshold", "h_star": {"H": "T"}, "s": 0.1}
+    for argv in (
+        ["map", "--network", net_path, "--hypothesis", "H", "--evidence", flag],
+        ["bench", "--network", net_path, "--hypothesis", "H", "--evidence", flag, "--rmax", "1",
+         "--output", str(tmp_path / "b.json")],
+        ["query", "--network", net_path, "--query", write_query(tmp_path, "s.json", strong),
+         "--output", str(tmp_path / "s.out.json")],
+        ["query", "--network", net_path, "--query", write_query(tmp_path, "t.json", threshold),
+         "--output", str(tmp_path / "t.out.json")],
+    ):
+        assert run(argv) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert " {'V0': 'F', 'V1': 'T', 'V2': 'T', 'V3': 'T', ...} has probability zero" in err
+        assert len(err) <= 500
+    for call in (lambda: posterior(net, {"H": "T"}, evidence), lambda: map_threshold(net, {"H": "T"}, evidence)):
+        with pytest.raises(InfeasibleQueryError) as info:
+            call()
+        assert len(str(info.value)) <= 500
 
 
 def test_query_table_limit(tmp_path):
@@ -520,6 +586,35 @@ def test_bench_truncates_oversized_hypothesis(fig1b):
     table = bench(fig1b, ["A", "B"], {"C": "T"}, r_max=1, trials=1, guard=3)
     assert table["rows"] == []
     assert table["truncated"].startswith("stopped at |R|=1: |Omega(H)| = 4")
+
+
+def grid_network(size):
+    """A size x size binary grid: g{i}_{j} has parents g{i-1}_{j} and g{i}_{j-1}."""
+    cpts = []
+    for i in range(size):
+        for j in range(size):
+            parents = tuple(p for p, inside in ((f"g{i - 1}_{j}", i > 0), (f"g{i}_{j - 1}", j > 0)) if inside)
+            cpts.append(Cpt(f"g{i}_{j}", parents, ((0.6, 0.4), (0.3, 0.7), (0.2, 0.8), (0.9, 0.1))[:2 ** len(parents)]))
+    return Network(f"grid{size}", tuple(Variable(c.child, ("s0", "s1")) for c in cpts), tuple(cpts))
+
+
+def test_bench_guards_every_elimination(fig1b, monkeypatch):
+    # A 5 x 5 grid: |Omega(H)| = |Omega(R)| = 2, but each rank's table over
+    # the far corner forms products of more than 8 entries.
+    net = grid_network(5)
+    with pytest.raises(CapacityError):
+        bench(net, ["g4_4"], {}, r_max=1, trials=1, guard=8)
+    assert len(bench(net, ["g4_4"], {}, r_max=1, trials=1)["rows"]) == 1
+    # Pr(e) and the 2 + 4 ranks of |R| = 1, 2 each get the guard.
+    guards = []
+
+    def recording(*args, guard=None):
+        guards.append(guard)
+        return candidate_joints(*args, guard=guard)
+
+    monkeypatch.setattr(cli, "candidate_joints", recording)
+    bench(fig1b, ["A"], {"C": "T"}, r_max=2, trials=1, guard=64)
+    assert guards == [64] * 7
 
 
 def test_bench_subcommand(tmp_path):

@@ -541,21 +541,38 @@ def test_strong_and_quantify_build_one_table(fig1b, tables):
 
 
 def test_threshold_builds_one_table(fn_ter, fig1b, tables):
-    # The table comes first, so its guard is checked before Pr(e) is eliminated.
+    # A positive entry of the table proves Pr(e) > 0, so Pr(e) is not eliminated.
     threshold_map_independence(fn_ter, {"H": "h1"}, part({}, ("H",), ("R",)), 0.1)
     assert tables == [("R",)]
     tables.clear()
     threshold_map_independence(fig1b, {"A": "T"}, part({"C": "T"}, ("A",), ("E", "B")), 0.1)
-    assert tables == [("B", "E"), ()]
+    assert tables == [("B", "E")]
+
+
+def test_threshold_eliminates_pr_e_for_an_all_zero_table(tables):
+    # H = F is impossible, so the table Pr(H=F, R, E=T) is all zeros while
+    # Pr(E=T) = 0.5: the query answers false instead of raising.
+    net = Network(
+        "certain-h",
+        (Variable("E", TF), Variable("H", TF), Variable("R", TF)),
+        (
+            Cpt("E", (), ((0.5, 0.5),)),
+            Cpt("H", (), ((1.0, 0.0),)),
+            Cpt("R", ("H",), ((0.9, 0.1), (0.2, 0.8))),
+        ),
+    )
+    report = threshold_map_independence(net, {"H": "F"}, part({"E": "T"}, ("H",), ("R",)), 0.1)
+    assert (report.verdict, report.counterexample, report.min_joint) == (False, {"R": "T"}, 0.0)
+    assert tables == [("R",), ()]
 
 
 def test_threshold_over_guard_forms_no_product(fig1b, monkeypatch):
     products = []
     product = inference._product
 
-    def counting(factors, scope):
+    def counting(factors, scope, cards):
         products.append(scope)
-        return product(factors, scope)
+        return product(factors, scope, cards)
 
     monkeypatch.setattr(inference, "_product", counting)
     with pytest.raises(CapacityError):

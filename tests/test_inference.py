@@ -449,17 +449,17 @@ def test_joint_table_guard_checked_before_any_product(monkeypatch):
     net = two_children()
     observed = {"C": "T", "D": "T"}
     unguarded = joint_table(net, ("H",), observed)
-    aligned = []
-    original = inference._align
+    products = []
+    original = inference._product
 
-    def counting(f_scope, values, scope):
-        aligned.append(f_scope)
-        return original(f_scope, values, scope)
+    def counting(factors, scope, cards):
+        products.append(scope)
+        return original(factors, scope, cards)
 
-    monkeypatch.setattr(inference, "_align", counting)
+    monkeypatch.setattr(inference, "_product", counting)
     with pytest.raises(CapacityError):
         joint_table(net, ("H",), observed, guard=4)
-    assert aligned == []  # the 4-entry product over (H, Y1) was never formed
+    assert products == []  # the 4-entry product over (H, Y1) was never formed
     assert np.array_equal(joint_table(net, ("H",), observed, guard=8), unguarded)
 
 

@@ -515,6 +515,24 @@ def test_min_fill_core_keeps_keys_up_to_date_on_near_chordal_graphs():
         assert min_fill_order(adjacency, priority) == expected
 
 
+def test_min_fill_core_recounts_every_changed_key_on_dense_graphs():
+    # At edge density 0.3-0.6 most steps create fill, so most keys come from
+    # the recount after a fill-creating step, not from the in-place update.
+    rng = random.Random(2114)
+    for _ in range(3000):
+        n = rng.randint(8, 14)
+        density = rng.uniform(0.3, 0.6)
+        masks = [0] * n
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < density:
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+        nodes = [f"N{i}" for i in range(n)]
+        adjacency = {v: {nodes[j] for j in range(n) if mask >> j & 1} for v, mask in zip(nodes, masks)}
+        assert _min_fill(nodes, masks) == brute_min_fill_order(adjacency, {v: i for i, v in enumerate(nodes)})
+
+
 def test_stats_width_matches_full_rescan_on_400_nodes():
     net = random_network(random.Random(400), 400, max_parents=2)
     priority = {name: i for i, name in enumerate(net.names)}
