@@ -161,34 +161,37 @@ def network_to_document(net: Network) -> dict:
     }
 
 
-def _array(value: Any, what: str) -> list:
+def _arrays(values: list, what: str) -> list:
     # A string would iterate into its characters and load as something else.
-    if not isinstance(value, list):
+    if not set(map(type, values)) <= {list}:
         raise DocumentError(f"malformed network document: {what} must be a JSON array")
-    return value
+    return values
 
 
 def network_from_document(doc: Any) -> Network:
-    """The network a document describes.  Names and states must be JSON
-    strings and table entries JSON numbers (integers load as floats): ``str``
-    and ``float`` would turn null, true or "0.5" into something else.  Types
-    are checked in one pass over the whole document, not per entry."""
+    """The network a document describes.  Every array must be a JSON array
+    (a ``list``), names and states JSON strings and table entries JSON
+    numbers: ``str`` and ``float`` would turn null, true or "0.5" into
+    something else.  Each level (variables and CPTs, states, parents,
+    tables, table rows, entries) is type-checked in one pass, not per item.
+    Entries that JSON parsed as floats are kept as they are; only a network
+    holding an integer entry has every entry passed through ``float``."""
     if not isinstance(doc, Mapping):
         raise DocumentError("network document must be a JSON object")
     try:
-        var_docs = _array(doc["variables"], "variables")
-        cpt_docs = _array(doc["cpts"], "cpts")
+        var_docs, cpt_docs = _arrays([doc["variables"]], "variables") + _arrays([doc["cpts"]], "cpts")
         names = [v["name"] for v in var_docs]
-        states = [_array(v["states"], "states") for v in var_docs]
+        states = _arrays([v["states"] for v in var_docs], "states")
         children = [c["variable"] for c in cpt_docs]
-        parents = [_array(c["parents"], "parents") for c in cpt_docs]
-        tables = [[_array(row, "table row") for row in _array(c["table"], "table")] for c in cpt_docs]
+        parents = _arrays([c["parents"] for c in cpt_docs], "parents")
+        tables = _arrays([c["table"] for c in cpt_docs], "table")
+        entries = set(map(type, chain.from_iterable(_arrays(list(chain.from_iterable(tables)), "table row"))))
         if not set(map(type, chain((doc["name"],), names, children, *states, *parents))) <= {str}:
             raise DocumentError("malformed network document: names and states must be JSON strings")
-        if not set(map(type, chain.from_iterable(chain.from_iterable(tables)))) <= {float, int}:
+        if not entries <= {float, int}:
             raise DocumentError("malformed network document: table entries must be JSON numbers")
-        cpts = tuple(map(Cpt, children, map(tuple, parents),
-                         [tuple([tuple(map(float, row)) for row in table]) for table in tables]))
+        row = tuple if entries <= {float} else lambda r: tuple(map(float, r))
+        cpts = tuple(map(Cpt, children, map(tuple, parents), [tuple(map(row, table)) for table in tables]))
     except (KeyError, TypeError, OverflowError) as exc:
         raise DocumentError(f"malformed network document: {exc}") from exc
     return Network(doc["name"], tuple(map(Variable, names, map(tuple, states))), cpts)

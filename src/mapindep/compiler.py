@@ -23,6 +23,7 @@ left-associative and always parse to strictly binary AST nodes.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -160,7 +161,7 @@ class _Parser:
         if kind == "ident":
             self.advance()
             return Var(text)
-        found = repr(text) if text else "end of input"
+        found = reprlib.repr(text) if text else "end of input"
         raise FormulaSyntaxError(f"expected '!', '(' or identifier, found {found}", offset)
 
 
@@ -173,7 +174,7 @@ def parse_formula(text: str) -> FormulaAst:
     ast = parser.expr()
     kind, text_, offset = parser.peek()
     if kind != "end":
-        raise FormulaSyntaxError(f"unexpected trailing {text_!r}", offset)
+        raise FormulaSyntaxError(f"unexpected trailing {reprlib.repr(text_)}", offset)
     return ast
 
 
@@ -315,7 +316,7 @@ def build_amajsat_instance(ast: FormulaAst, a_vars) -> CompiledInstance:
         raise InvalidQueryError("the A-set contains duplicates")
     unknown = [v for v in a if v not in names]
     if unknown:
-        raise InvalidQueryError(f"A-set variables not in the formula: {unknown}")
+        raise InvalidQueryError(f"A-set variables not in the formula: {reprlib.repr(unknown)}")
     if len(a) >= len(names):
         raise InvalidQueryError("the A-set must be a proper subset of the formula variables")
     compiled = compile_network(ast)

@@ -23,10 +23,15 @@ class InvalidQueryError(MapIndepError):
 class NetworkValidationError(MapIndepError):
     """The network violates a structural or probabilistic invariant."""
 
+    # How many violations the message names; the rest are only counted.
+    SHOWN = 3
+
     def __init__(self, violations):
         self.violations = list(violations)
-        detail = "; ".join(f"{v.code} at {v.where}: {v.message}" for v in self.violations)
-        super().__init__(f"invalid network: {detail}")
+        named = [f"{v.code} at {v.where}: {v.message}" for v in self.violations[:self.SHOWN]]
+        if len(self.violations) > self.SHOWN:
+            named.append(f"{len(self.violations) - self.SHOWN} more ({len(self.violations)} violations in all)")
+        super().__init__(f"invalid network: {'; '.join(named)}")
 
 
 class InfeasibleQueryError(MapIndepError):
@@ -54,3 +59,11 @@ def brief(assignment: Mapping[str, str]) -> str:
     four entries in their own order, each name and state cut by ``reprlib``."""
     items = [f"{reprlib.repr(k)}: {reprlib.repr(v)}" for k, v in islice(assignment.items(), 4)]
     return "{" + ", ".join(items + ["..."] * (len(assignment) > 4)) + "}"
+
+
+def cut(name: object) -> str:
+    """``str(name)`` kept short for an error message: a name longer than 30
+    characters loses its middle to "...", as ``reprlib.repr`` cuts a string,
+    but no quotes are added, so a short name reads as it is."""
+    text = str(name)
+    return text if len(text) <= 30 else f"{text[:13]}...{text[-14:]}"

@@ -302,7 +302,7 @@ def strong_map_independence(
     if with_metrics:
         total = assignment_count(net, focus)
         metrics = Quantification(
-            mass=fold.mass_num / marginal(net, evidence),
+            mass=fold.mass_num / marginal(net, evidence, guard=guard),
             proportion=fold.unchanged / total,
             mean_hamming=fold.hamming_sum / total,
         )
@@ -526,7 +526,7 @@ def relevance_partition(
     strong-singleton readings coincide, so ``mode`` only names the check.
     """
     if mode not in ("weak", "strong-singleton"):
-        raise InvalidQueryError(f"unknown relevance mode {mode!r}")
+        raise InvalidQueryError(f"unknown relevance mode {reprlib.repr(mode)}")
     hyp, evidence, cands = resolve_partition(net, QueryPartition(evidence, hypothesis, candidates))
     if not cands:
         return RelevancePartition(relevant=(), irrelevant=(), justification={})

@@ -27,6 +27,7 @@ becomes 0.0, so a Pr(e) that underflows is reported as infeasible evidence.
 from __future__ import annotations
 
 import math
+import reprlib
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,26 +281,40 @@ def joint_probability(net: Network, full: Mapping[str, str]) -> float:
     """Chain-rule product of CPT entries for a full assignment."""
     if len(full) != len(net.variables):
         missing = [v for v in net.names if v not in full]
-        raise InvalidQueryError(f"joint_probability needs a full assignment; missing {missing}")
+        raise InvalidQueryError(f"joint_probability needs a full assignment; missing {reprlib.repr(missing)}")
     check_assignment(net, full)
     return _brute_table(net, (), full)[0]
 
 
-def marginal(net: Network, partial: Mapping[str, str], method: str = "ve") -> float:
-    """Pr(partial), the probability of a (possibly empty) partial assignment."""
+def marginal(
+    net: Network, partial: Mapping[str, str], method: str = "ve", *, guard: int = DEFAULT_GUARD
+) -> float:
+    """Pr(partial), the probability of a (possibly empty) partial assignment.
+
+    ``guard`` bounds the elimination on either ``method`` as in
+    ``candidate_joints``: work past it raises CapacityError before any product.
+    """
     check_assignment(net, partial)
-    return candidate_joints(net, (), partial, method)[0]
+    return candidate_joints(net, (), partial, method, guard=guard)[0]
 
 
-def posterior(net: Network, target: Mapping[str, str], evidence: Mapping[str, str], method: str = "ve") -> float:
-    """Pr(target | evidence).  Zero-probability evidence is an error, not a NaN."""
+def posterior(
+    net: Network,
+    target: Mapping[str, str],
+    evidence: Mapping[str, str],
+    method: str = "ve",
+    *,
+    guard: int = DEFAULT_GUARD,
+) -> float:
+    """Pr(target | evidence), each of its two marginals guarded by ``guard``.
+    Zero-probability evidence is an error, not a NaN."""
     target = as_assignment(target)
     if set(target) & set(evidence):
         raise InvalidQueryError("target and evidence must be disjoint")
-    p_e = marginal(net, evidence, method)
+    p_e = marginal(net, evidence, method, guard=guard)
     if p_e == 0.0:
         raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
-    return marginal(net, {**target, **evidence}, method) / p_e
+    return marginal(net, {**target, **evidence}, method, guard=guard) / p_e
 
 
 def candidate_joints(
@@ -319,7 +334,7 @@ def candidate_joints(
     if method == "ve":
         return joint_table(net, hypothesis, context, guard=guard).ravel().tolist()
     if method != "brute":
-        raise InvalidQueryError(f"unknown inference method {method!r}")
+        raise InvalidQueryError(f"unknown inference method {reprlib.repr(method)}")
     if guard is not None:
         completions = assignment_count(net, (v for v in net.names if v not in context))
         if completions > guard:
@@ -381,8 +396,10 @@ def map_threshold(
     evidence: Mapping[str, str] | None = None,
     q: float | Fraction = 0.0,
     method: str = "ve",
+    *,
+    guard: int = DEFAULT_GUARD,
 ) -> bool:
-    """Whether Pr(h_star, evidence) strictly exceeds ``q``."""
+    """Whether Pr(h_star, evidence) strictly exceeds ``q``; each marginal is guarded by ``guard``."""
     evidence = as_assignment(evidence or {})
     if not h_star:
         raise InvalidQueryError("h_star must be non-empty")
@@ -390,6 +407,6 @@ def map_threshold(
         raise InvalidQueryError("h_star and evidence must be disjoint")
     check_assignment(net, h_star)
     check_assignment(net, evidence)
-    if evidence and marginal(net, evidence, method) == 0.0:
+    if evidence and marginal(net, evidence, method, guard=guard) == 0.0:
         raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
-    return marginal(net, {**h_star, **evidence}, method) > q
+    return marginal(net, {**h_star, **evidence}, method, guard=guard) > q

@@ -26,7 +26,7 @@ from math import prod
 from operator import lt, sub
 from typing import TypeVar
 
-from .errors import InvalidQueryError, NetworkValidationError
+from .errors import InvalidQueryError, NetworkValidationError, cut
 
 # A (partial or full) joint value assignment: variable name -> state name.
 Assignment = dict[str, str]
@@ -89,10 +89,6 @@ class Network:
         return {c.child: c for c in self.cpts}
 
     @cached_property
-    def _state_index(self) -> dict[str, dict[str, int]]:
-        return {v.name: {s: i for i, s in enumerate(v.states)} for v in self.variables}
-
-    @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {v.name: [] for v in self.variables}
         for c in self.cpts:
@@ -122,12 +118,15 @@ class Network:
         return self._children[name]
 
     def state_index(self, var: str, state: str) -> int:
-        table = self._state_index.get(var)
-        if table is None:
+        """The position of ``state`` in ``var``'s state list.  It is looked up
+        per call, with no per-network index of every variable's states: a
+        query resolves only its few evidence and hypothesis states."""
+        i = self._var_index.get(var)
+        if i is None:
             raise self._unknown_variable(var)
         try:
-            return table[state]
-        except KeyError:
+            return self.variables[i].states.index(state)
+        except ValueError:
             raise InvalidQueryError(f"unknown state {reprlib.repr(state)} for variable {reprlib.repr(var)}") from None
 
     def cardinality(self, name: str) -> int:
@@ -252,57 +251,64 @@ def _locate_violations(net: Network) -> list[Violation]:
     seen_vars: set[str] = set()
     for v in net.variables:
         if v.name in seen_vars:
-            out.append(Violation("duplicate_variable", f"variable {v.name}", "name declared twice"))
+            out.append(Violation("duplicate_variable", f"variable {cut(v.name)}", "name declared twice"))
         seen_vars.add(v.name)
         if len(v.states) < 2:
-            out.append(Violation("too_few_states", f"variable {v.name}",
+            out.append(Violation("too_few_states", f"variable {cut(v.name)}",
                                  f"{len(v.states)} state(s), need at least 2"))
         if len(set(v.states)) != len(v.states):
-            out.append(Violation("duplicate_state", f"variable {v.name}", "state names not unique"))
+            out.append(Violation("duplicate_state", f"variable {cut(v.name)}", "state names not unique"))
 
     cards = {v.name: v.cardinality for v in net.variables}
     seen_children: set[str] = set()
     for c in net.cpts:
         if c.child not in cards:
-            out.append(Violation("unknown_child", f"cpt {c.child}", "no such variable"))
+            out.append(Violation("unknown_child", f"cpt {cut(c.child)}", "no such variable"))
             continue
         if c.child in seen_children:
-            out.append(Violation("duplicate_cpt", f"cpt {c.child}", "variable has more than one CPT"))
+            out.append(Violation("duplicate_cpt", f"cpt {cut(c.child)}", "variable has more than one CPT"))
             continue
         seen_children.add(c.child)
 
         dangling = [p for p in c.parents if p not in cards]
         for p in dangling:
-            out.append(Violation("dangling_parent", f"cpt {c.child}", f"parent {p!r} is not a variable"))
+            out.append(Violation("dangling_parent", f"cpt {cut(c.child)}",
+                                 f"parent {reprlib.repr(p)} is not a variable"))
         if len(set(c.parents)) != len(c.parents):
-            out.append(Violation("duplicate_parent", f"cpt {c.child}", "parent listed twice"))
+            out.append(Violation("duplicate_parent", f"cpt {cut(c.child)}", "parent listed twice"))
         if dangling:
             continue
 
         expected_rows = prod(cards[p] for p in c.parents)
         if len(c.rows) != expected_rows:
-            out.append(Violation("shape", f"cpt {c.child}", f"{len(c.rows)} rows, expected {expected_rows}"))
+            out.append(Violation("shape", f"cpt {cut(c.child)}", f"{len(c.rows)} rows, expected {expected_rows}"))
             continue
         width = cards[c.child]
         for i, row in enumerate(c.rows):
             if len(row) != width:
-                out.append(Violation("shape", f"cpt {c.child} row {i}", f"{len(row)} columns, expected {width}"))
+                out.append(Violation("shape", f"cpt {cut(c.child)} row {i}", f"{len(row)} columns, expected {width}"))
                 continue
             if any(not 0.0 <= p <= 1.0 for p in row):  # NaN fails every comparison
-                out.append(Violation("probability_range", f"cpt {c.child} row {i}", "entry outside [0, 1]"))
+                out.append(Violation("probability_range", f"cpt {cut(c.child)} row {i}", "entry outside [0, 1]"))
             deviation = abs(sum(row) - 1.0)
             if deviation > ROW_SUM_TOL:
-                out.append(Violation("row_sum", f"cpt {c.child} row {i}",
+                out.append(Violation("row_sum", f"cpt {cut(c.child)} row {i}",
                                      f"sums to {sum(row)!r}, deviation {deviation:g}"))
 
     missing = [n for n in cards if n not in seen_children]
     for n in missing:
-        out.append(Violation("missing_cpt", f"variable {n}", "no CPT declared"))
+        out.append(Violation("missing_cpt", f"variable {cut(n)}", "no CPT declared"))
 
     cycle = _find_cycle(net)
     if cycle is not None:
-        out.append(Violation("cycle", "graph", " -> ".join(cycle)))
+        out.append(Violation("cycle", "graph", _cycle_text(cycle)))
     return out
+
+
+def _cycle_text(cycle: list[str]) -> str:
+    # A long cycle is named by its first four variables and the one it closes on.
+    shown = cycle if len(cycle) <= 6 else [*cycle[:4], "...", cycle[-1]]
+    return " -> ".join(map(cut, shown))
 
 
 def _find_cycle(net: Network) -> list[str] | None:
@@ -405,7 +411,7 @@ def topological_order(net: Network) -> list[str]:
                 heapq.heappush(ready, net.declaration_index(child))
     if len(order) != len(net.variables):
         cycle = _find_cycle(net) or []
-        raise NetworkValidationError([Violation("cycle", "graph", " -> ".join(cycle))])
+        raise NetworkValidationError([Violation("cycle", "graph", _cycle_text(cycle))])
     return order
 
 

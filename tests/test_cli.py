@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mapindep import cli
+from mapindep import cli, independence, inference
 from mapindep.cli import (
     EXIT_CAPACITY,
     EXIT_INFEASIBLE,
@@ -24,8 +26,16 @@ from mapindep.cli import (
     save_network,
 )
 from mapindep.errors import CapacityError, DocumentError, InfeasibleQueryError, NetworkValidationError
-from mapindep.inference import candidate_joints, map_threshold, posterior
-from mapindep.model import Cpt, Network, Variable
+from mapindep.independence import (
+    maximum_map_independence,
+    quantify,
+    relevance_partition,
+    strong_map_independence,
+    threshold_map_independence,
+    weak_map_independence,
+)
+from mapindep.inference import DEFAULT_GUARD, candidate_joints, map_solve, map_threshold, marginal, posterior
+from mapindep.model import Cpt, Network, QueryPartition, Variable
 from conftest import FIXTURES
 from netgen import random_binary_network
 from test_golden import strip_elapsed
@@ -93,44 +103,39 @@ def test_load_truncated_file(tmp_path):
         load_network(path)
 
 
-def two_node_document():
+def chain_document():
+    """A -> B -> C over binary variables."""
     return {
-        "name": "pair",
-        "variables": [{"name": "A", "states": ["T", "F"]}, {"name": "B", "states": ["T", "F"]}],
+        "name": "chain",
+        "variables": [{"name": v, "states": ["T", "F"]} for v in "ABC"],
         "cpts": [
             {"variable": "A", "parents": [], "table": [[0.5, 0.5]]},
             {"variable": "B", "parents": ["A"], "table": [[1.0, 0.0], [0.0, 1.0]]},
+            {"variable": "C", "parents": ["B"], "table": [[0.3, 0.7], [0.6, 0.4]]},
         ],
     }
 
 
-def _set_field(doc, field, value):
-    if field in ("variables", "cpts"):
-        doc[field] = value
-    elif field == "states":
-        doc["variables"][0]["states"] = value
-    elif field == "row":
-        doc["cpts"][1]["table"][0] = value
-    else:
-        doc["cpts"][1][field] = value
-
-
-# A string in place of a list would iterate into its characters.
-@pytest.mark.parametrize("field, value", [
-    ("variables", ""),
-    ("states", "TF"),
-    ("cpts", ""),
-    ("parents", "A"),
-    ("table", "1001"),
-    ("row", "10"),
+# A string in place of a list would iterate into its characters.  Each level
+# is checked whole, so a fault in its last item is found as in its first.
+@pytest.mark.parametrize("path, value, what", [
+    pytest.param(("variables",), "", "variables", id="variables-"),
+    pytest.param(("cpts",), "", "cpts", id="cpts-"),
+    pytest.param(("variables", 0, "states"), "TF", "states", id="states-TF"),
+    pytest.param(("variables", 2, "states"), "TF", "states", id="states-TF-third-variable"),
+    pytest.param(("cpts", 1, "parents"), "A", "parents", id="parents-A"),
+    pytest.param(("cpts", 2, "parents"), None, "parents", id="parents-None-last-cpt"),
+    pytest.param(("cpts", 1, "table"), "1001", "table", id="table-1001"),
+    pytest.param(("cpts", 2, "table"), {}, "table", id="table-object-last-cpt"),
+    pytest.param(("cpts", 1, "table", 0), "10", "table row", id="row-10"),
+    pytest.param(("cpts", 2, "table", 1), "10", "table row", id="row-10-last-cpt"),
 ])
-def test_network_fields_must_be_arrays(tmp_path, capsys, field, value):
-    doc = two_node_document()
-    _set_field(doc, field, value)
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert run(["validate", "--network", str(path)]) == EXIT_USAGE
-    assert "must be a JSON array" in capsys.readouterr().err
+def test_network_fields_must_be_arrays(tmp_path, capsys, path, value, what):
+    doc = chain_document()
+    *at, key = path
+    functools.reduce(operator.getitem, at, doc)[key] = value
+    assert run(["validate", "--network", write_query(tmp_path, "net.json", doc)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: malformed network document: {what} must be a JSON array\n"
 
 
 def _fig1b_with(field, value):
@@ -139,6 +144,7 @@ def _fig1b_with(field, value):
         "name": doc,
         "states": next(v for v in doc["variables"] if v["name"] == "B"),
         "table": next(c for c in doc["cpts"] if c["variable"] == "B"),
+        "parents": next(c for c in doc["cpts"] if c["variable"] == "B"),
     }[field]
     owner[field] = value
     return doc
@@ -162,6 +168,16 @@ def test_network_integer_entries_load_as_floats(tmp_path):
     net = load_network(write_query(tmp_path, "net.json", _fig1b_with("table", [[1, 0]])))
     assert net.cpt("B").rows == ((1.0, 0.0),)
     assert all(type(p) is float for p in net.cpt("B").rows[0])
+
+
+@pytest.mark.parametrize("row", [[0.6, 0.4], [1, 0.5]])
+def test_network_entries_load_as_floats_with_their_values(row):
+    # One integer anywhere sends every entry through float(); without one, entries stay as parsed.
+    doc = chain_document()
+    doc["cpts"][2]["table"][1] = row
+    net = cli.network_from_document(doc)
+    assert [c.rows for c in net.cpts] == [((0.5, 0.5),), ((1.0, 0.0), (0.0, 1.0)), ((0.3, 0.7), tuple(row))]
+    assert {type(p) for c in net.cpts for r in c.rows for p in r} == {float}
 
 
 def test_seventeen_digit_float_emission():
@@ -468,6 +484,50 @@ def test_infeasible_evidence_on_many_variables_is_echoed_in_brief(tmp_path, caps
         assert len(str(info.value)) <= 500
 
 
+def _long_names_network(n):
+    """``n`` variables with 5,000-character names in one cycle, each CPT row off by 1e-3."""
+    names = [f"{i}{'x' * 5000}" for i in range(n)]
+    return {
+        "name": "long-names",
+        "variables": [{"name": v, "states": ["T", "F"]} for v in names],
+        "cpts": [{"variable": v, "parents": [names[i - 1]], "table": [[0.5, 0.501], [0.5, 0.501]]}
+                 for i, v in enumerate(names)],
+    }
+
+
+def test_invalid_network_and_aset_error_lines_are_bounded(tmp_path, capsys):
+    off = json.loads(Path(FIG1B).read_text(encoding="utf-8"))
+    for cpt in off["cpts"]:
+        cpt["table"] = [[row[0] + 1e-3, *row[1:]] for row in cpt["table"]]
+    off_path = write_query(tmp_path, "off.json", off)
+    dangling = _fig1b_with("parents", ["A", "p" * 5000])
+    strong = write_query(tmp_path, "q.json", {"mode": "strong", "hypothesis": ["A"], "focus": ["B"]})
+    long_names = write_query(tmp_path, "long.json", _long_names_network(40))
+    cases = [
+        (["map", "--network", off_path, "--hypothesis", "A"], EXIT_INVALID_NETWORK),
+        (["query", "--network", off_path, "--query", strong, "--output", str(tmp_path / "r.json")],
+         EXIT_INVALID_NETWORK),
+        (["validate", "--network", write_query(tmp_path, "dangling.json", dangling)], EXIT_INVALID_NETWORK),
+        (["compile", "--formula", "x1 & x2", "--aset", ",".join(f"y{i}{'y' * 50}" for i in range(200))],
+         EXIT_USAGE),
+        (["compile", "--formula", f"x1 & x2 {'z' * 5000}"], EXIT_USAGE),
+        (["compile", "--formula", f"x1 & & {'z' * 5000}"], EXIT_USAGE),
+        (["validate", "--network", long_names], EXIT_INVALID_NETWORK),
+        (["map", "--network", long_names, "--hypothesis", "A"], EXIT_INVALID_NETWORK),
+    ]
+    for argv, code in cases:
+        assert run(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err, argv
+        assert max(map(len, err.splitlines())) <= 500, argv
+    rows = sum(len(cpt["table"]) for cpt in off["cpts"])
+    with pytest.raises(NetworkValidationError) as info:
+        load_network(off_path)
+    assert len(info.value.violations) == rows
+    assert str(info.value).startswith("invalid network: row_sum at cpt A row 0: sums to 1.001, deviation 0.001; ")
+    assert str(info.value).endswith(f"; {rows - 3} more ({rows} violations in all)")
+
+
 def test_query_table_limit(tmp_path):
     out = tmp_path / "r.json"
     query = write_query(tmp_path, "q.json", {
@@ -615,6 +675,54 @@ def test_bench_guards_every_elimination(fig1b, monkeypatch):
     monkeypatch.setattr(cli, "candidate_joints", recording)
     bench(fig1b, ["A"], {"C": "T"}, r_max=2, trials=1, guard=64)
     assert guards == [64] * 7
+
+
+def test_every_public_function_guards_its_eliminations(fig1b, monkeypatch):
+    # On a 5 x 5 grid every table over the far corner forms products of more
+    # than 8 entries; at guard 8 each function refuses before forming one.
+    net = grid_network(5)
+    corner, root = {"g4_4": "s0"}, {"g0_0": "s1"}
+    partition = QueryPartition(root, ("g4_4",), ("g4_3",))
+    calls = [
+        *(functools.partial(marginal, net, corner, method) for method in ("ve", "brute")),
+        *(functools.partial(posterior, net, corner, root, method) for method in ("ve", "brute")),
+        *(functools.partial(map_threshold, net, corner, root, 0.1, method) for method in ("ve", "brute")),
+        functools.partial(map_solve, net, ["g4_4"], root),
+        functools.partial(strong_map_independence, net, partition),
+        functools.partial(weak_map_independence, net, partition),
+        functools.partial(quantify, net, partition),
+        functools.partial(maximum_map_independence, net, partition, 1),
+        functools.partial(threshold_map_independence, net, corner, partition, 0.1),
+        functools.partial(relevance_partition, net, root, ["g4_4"], ["g4_3"]),
+    ]
+    sizes = []
+    product = inference._product
+
+    def recording(factors, scope, cards):
+        sizes.append(math.prod(cards[v] for v in scope))
+        return product(factors, scope, cards)
+
+    monkeypatch.setattr(inference, "_product", recording)
+    for call in calls:
+        with pytest.raises(CapacityError):
+            call(guard=8)
+    assert max(sizes, default=0) <= 8
+    # Below the guard the answers are the unguarded eliminations' own bits.
+    pr_c, pr_ac = (candidate_joints(fig1b, (), e)[0] for e in ({"C": "T"}, {"A": "T", "C": "T"}))
+    assert marginal(fig1b, {"C": "T"}) == pr_c
+    assert posterior(fig1b, {"A": "T"}, {"C": "T"}) == pr_ac / pr_c
+    assert [map_threshold(fig1b, {"A": "T"}, {"C": "T"}, q) for q in (pr_ac * 0.5, pr_ac)] == [True, False]
+    # quantify's Pr(e) gets the decider's guard.
+    guards = []
+
+    def marginal_recording(*args, guard):
+        guards.append(guard)
+        return marginal(*args, guard=guard)
+
+    monkeypatch.setattr(independence, "marginal", marginal_recording)
+    fig1b_partition = QueryPartition({"C": "T"}, ("A",), ("B",))
+    assert quantify(fig1b, fig1b_partition, guard=64) == quantify(fig1b, fig1b_partition)
+    assert guards == [64, DEFAULT_GUARD]
 
 
 def test_bench_subcommand(tmp_path):

@@ -367,6 +367,19 @@ def test_evidence_given_as_a_string_is_rejected(fig1b):
             call()
 
 
+def test_state_index_resolves_states_and_names_what_is_unknown(fig1b):
+    assert [fig1b.state_index(v.name, s) for v in fig1b.variables for s in v.states] == [0, 1] * len(fig1b.variables)
+    for call, message in (
+        (lambda: fig1b.state_index("Z", "T"), "unknown variable 'Z' in network 'fig1b'"),
+        (lambda: fig1b.state_index("A", "X"), "unknown state 'X' for variable 'A'"),
+        (lambda: fig1b.state_index("A", ["T"]), "unknown state ['T'] for variable 'A'"),
+        (lambda: fig1b.state_index("A", "T" * 5000), "unknown state 'TTTTTTTTTTTT...TTTTTTTTTTTTT' for variable 'A'"),
+    ):
+        with pytest.raises(InvalidQueryError) as info:
+            call()
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # assignment enumeration
 
