@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import reprlib
 import statistics
@@ -653,7 +654,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments, dispatch, and translate errors into exit codes."""
+    """Parse arguments, dispatch, and translate errors into exit codes.
+
+    Python's cyclic garbage collector is paused for the whole call and
+    re-enabled on return, by any path, only if it was enabled before.  The
+    pause is process-wide.  A query makes no reference cycles, so
+    reference counting frees everything it allocates, and the collections
+    its allocations would trigger could free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _dispatch(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,7 +18,11 @@ Grammar (ASCII canonical; the Unicode connectives are aliases)::
     factor := '!' factor | '(' expr ')' | identifier
 
 ``!`` binds tightest, then ``&``, then ``|``; the binary connectives are
-left-associative and always parse to strictly binary AST nodes.
+left-associative and always parse to strictly binary AST nodes.  A chain of
+``&`` or ``|`` may be as long as memory allows, but ``!`` and ``(`` may nest
+at most ``MAX_FORMULA_DEPTH`` (200) levels deep, counted together: the parser
+recurses once per level, and a deeper formula is refused with a
+``FormulaSyntaxError`` at the byte offset of the first token past the bound.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from .errors import CapacityError, FormulaSyntaxError, InvalidQueryError
 from .model import Assignment, Cpt, Network, Variable
 
 MODEL_COUNT_MAX_VARS = 24
+
+# How many '!' and '(' levels a formula may nest, counted together.
+MAX_FORMULA_DEPTH = 200
 
 _T, _F = "T", "F"
 
@@ -122,6 +129,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -146,23 +154,25 @@ class _Parser:
         return node
 
     def factor(self) -> FormulaAst:
-        kind, text, offset = self.peek()
+        kind, text, offset = self.advance()
+        if kind == "ident":
+            return Var(text)
+        if kind not in ("!", "("):
+            found = reprlib.repr(text) if text else "end of input"
+            raise FormulaSyntaxError(f"expected '!', '(' or identifier, found {found}", offset)
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            raise FormulaSyntaxError(f"formula nests '!' and '(' more than {MAX_FORMULA_DEPTH} deep", offset)
         if kind == "!":
-            self.advance()
-            return Not(self.factor())
-        if kind == "(":
-            self.advance()
+            node = Not(self.factor())
+        else:
             node = self.expr()
             kind, _, offset = self.peek()
             if kind != ")":
                 raise FormulaSyntaxError("expected ')'", offset)
             self.advance()
-            return node
-        if kind == "ident":
-            self.advance()
-            return Var(text)
-        found = reprlib.repr(text) if text else "end of input"
-        raise FormulaSyntaxError(f"expected '!', '(' or identifier, found {found}", offset)
+        self.depth -= 1
+        return node
 
 
 def parse_formula(text: str) -> FormulaAst:
@@ -270,33 +280,32 @@ def compile_network(ast: FormulaAst, name: str = "compiled") -> CompiledInstance
         taken.add(node)
         return node
 
-    def build(node: FormulaAst) -> str:
+    # An explicit stack, so that no formula is too deep to compile: an
+    # operator is named when it is popped (preorder), and declared when the
+    # (name, rows, arity) entry pushed under its operands is popped after
+    # them (post-order).  A bare variable starts under its identity node.
+    stack: list = [(fresh("id"), _ID_ROWS, 1), ast] if isinstance(ast, Var) else [ast]
+    built: list[str] = []  # node names of the operands built so far
+    while stack:
+        node = stack.pop()
         if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Not):
-            name_ = fresh("not")
-            operand = build(node.operand)
-            variables.append(Variable(name_, (_T, _F)))
-            cpts.append(Cpt(name_, (operand,), _NOT_ROWS))
-            return name_
-        kind, rows = ("and", _AND_ROWS) if isinstance(node, And) else ("or", _OR_ROWS)
-        name_ = fresh(kind)
-        left = build(node.left)
-        right = build(node.right)
-        variables.append(Variable(name_, (_T, _F)))
-        if left == right:
-            # x&x and x|x both collapse to the diagonal of the truth table.
-            cpts.append(Cpt(name_, (left,), _ID_ROWS))
+            built.append(node.name)
+        elif isinstance(node, Not):
+            stack += [(fresh("not"), _NOT_ROWS, 1), node.operand]
+        elif isinstance(node, (And, Or)):
+            kind, rows = ("and", _AND_ROWS) if isinstance(node, And) else ("or", _OR_ROWS)
+            stack += [(fresh(kind), rows, 2), node.right, node.left]
         else:
-            cpts.append(Cpt(name_, (left, right), rows))
-        return name_
-
-    if isinstance(ast, Var):
-        phi = fresh("id")
-        variables.append(Variable(phi, (_T, _F)))
-        cpts.append(Cpt(phi, (ast.name,), _ID_ROWS))
-    else:
-        phi = build(ast)
+            name_, rows, arity = node
+            operands = tuple(built[-arity:])
+            del built[-arity:]
+            if arity == 2 and operands[0] == operands[1]:
+                # x&x and x|x both collapse to the diagonal of the truth table.
+                operands, rows = operands[:1], _ID_ROWS
+            variables.append(Variable(name_, (_T, _F)))
+            cpts.append(Cpt(name_, operands, rows))
+            built.append(name_)
+    (phi,) = built
     net = Network(name=name, variables=tuple(variables), cpts=tuple(cpts))
     return CompiledInstance(network=net, phi_node=phi, variable_nodes=var_names)
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import math
 import operator
@@ -36,9 +37,9 @@ from mapindep.independence import (
 )
 from mapindep.inference import DEFAULT_GUARD, candidate_joints, map_solve, map_threshold, marginal, posterior
 from mapindep.model import Cpt, Network, QueryPartition, Variable
-from conftest import FIXTURES
+from conftest import FIXTURES, gated_network
 from netgen import random_binary_network
-from test_golden import strip_elapsed
+from test_golden import CASES, run_case, strip_elapsed
 
 TF = ("T", "F")
 
@@ -786,6 +787,81 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     assert run(["query", "--network", FIG1B, "--query", query, "--output", str(plain)]) == EXIT_OK
     assert "per_assignment" in flagged.read_text()
     assert strip_elapsed(plain.read_text()) == strip_elapsed(fresh.read_text())
+
+
+# ---------------------------------------------------------------------------
+# the collector pause
+
+
+def _exit_code_calls(tmp_path):
+    """(expected exit code, argv) for a compile and one query per exit code 1-4."""
+    bad_query = write_query(tmp_path, "bad.json", {"mode": "nope"})
+    gated = tmp_path / "gated.json"
+    save_network(gated_network(), gated)
+    or21 = tmp_path / "or21.json"
+    xs = [f"x{i}" for i in range(21)]
+    return [
+        (EXIT_OK, ["compile", "--formula", " | ".join(xs), "--out", str(or21)]),
+        (EXIT_USAGE, ["query", "--network", FIG1B, "--query", bad_query, "--output", str(tmp_path / "r.json")]),
+        (EXIT_INVALID_NETWORK, ["map", "--network", NAN_CPT, "--hypothesis", "A"]),
+        (EXIT_INFEASIBLE, ["map", "--network", str(gated), "--hypothesis", "H", "--evidence", "E=T,R=F"]),
+        (EXIT_CAPACITY, ["map", "--network", str(or21), "--hypothesis", ",".join(xs)]),
+    ]
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state and callbacks after the test."""
+    enabled, callbacks = gc.isenabled(), list(gc.callbacks)
+    yield
+    gc.callbacks[:] = callbacks
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_run_restores_the_collector_and_leaves_no_cycles(tmp_path, collector_state, enabled):
+    # run pauses the cyclic collector, so whatever garbage a call leaves in
+    # cycles outlives it; every golden case and exit code must leave none.
+    # Every collection from just before a call to a full one just after it
+    # is counted, so one the re-enabled collector starts is counted too.
+    assert run(["validate", "--network", FIG1B]) == EXIT_OK  # builds the cached parser
+    calls = [(f"golden {name}", functools.partial(run_case, name, tmp_path), None) for name in sorted(CASES)]
+    calls += [(f"{argv[0]} exiting {code}", functools.partial(run, argv), code)
+              for code, argv in _exit_code_calls(tmp_path)]
+    freed = []
+
+    def count(phase, info):
+        if phase == "stop":
+            freed.append(info["collected"])
+
+    gc.callbacks.append(count)
+    for label, call, code in calls:
+        (gc.enable if enabled else gc.disable)()
+        gc.collect()
+        freed.clear()
+        result = call()
+        assert code is None or result == code, label
+        assert gc.isenabled() is enabled, label
+        gc.collect()
+        assert sum(freed) == 0, label
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_run_restores_the_collector_when_argparse_exits_or_an_error_escapes(monkeypatch, collector_state, enabled):
+    # argparse's usage and version messages each leave one formatter cycle,
+    # so only the state is checked here.
+    def escape(path):
+        raise RuntimeError("escaped")
+
+    monkeypatch.setattr(cli, "load_network", escape)
+    (gc.enable if enabled else gc.disable)()
+    assert run(["query"]) == EXIT_USAGE
+    assert gc.isenabled() is enabled
+    assert run(["--version"]) == EXIT_OK
+    assert gc.isenabled() is enabled
+    with pytest.raises(RuntimeError, match="escaped"):
+        run(["validate", "--network", FIG1B])
+    assert gc.isenabled() is enabled
 
 
 def test_module_entry_point_runs():

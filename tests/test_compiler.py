@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapindep.compiler import (
+    MAX_FORMULA_DEPTH,
     And,
     Not,
     Or,
@@ -123,6 +124,22 @@ def test_count_models_guard():
         count_models(parse_formula(wide))
 
 
+@pytest.mark.parametrize("opening, closing", [("!", ""), ("(", ")"), ("(!", ")")])
+def test_parse_nesting_bound(opening, closing):
+    # '!' and '(' count together; the error points at the first token past the bound.
+    levels = MAX_FORMULA_DEPTH // len(opening)
+    assert parse_formula(opening * levels + "x" + closing * levels) is not None
+    deeper = opening * levels + "!x" + closing * levels
+    with pytest.raises(FormulaSyntaxError, match=f"more than {MAX_FORMULA_DEPTH} deep") as exc:
+        parse_formula(deeper)
+    assert exc.value.offset == MAX_FORMULA_DEPTH
+
+
+def test_parse_long_flat_chain():
+    ast = parse_formula(" & ".join(f"x{i}" for i in range(3000)))
+    assert formula_variables(ast) == tuple(f"x{i}" for i in range(3000))
+
+
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -167,6 +184,32 @@ def test_compile_networks_validate():
     for _ in range(25):
         ast = random_formula(rng, names, rng.randint(0, 8))
         assert validate_network(compile_network(ast).network) == []
+
+
+def test_compile_names_in_preorder_and_declares_in_post_order():
+    instance = compile_network(parse_formula(PHI_EX))
+    assert instance.network.names == ("x1", "x2", "x3", "x4", "and_3", "not_2", "or_4", "or_1")
+    assert instance.phi_node == "or_1"
+    assert [c.parents for c in instance.network.cpts[4:]] == [("x1", "x2"), ("and_3",), ("x3", "x4"),
+                                                              ("not_2", "or_4")]
+
+
+def test_compile_long_flat_chain():
+    # The left-deep tree of a flat chain is as deep as the chain is long.
+    n = 1500
+    instance = compile_network(parse_formula(" | ".join(f"x{i}" for i in range(n))))
+    net = instance.network
+    assert net.names == tuple(f"x{i}" for i in range(n)) + tuple(f"or_{i}" for i in range(n - 1, 0, -1))
+    assert net.cpt("or_1").parents == ("or_2", f"x{n - 1}")
+    assert net.cpt(f"or_{n - 1}").parents == ("x0", "x1")
+    assert instance.phi_node == "or_1"
+    assert validate_network(net) == []
+
+
+def test_compile_deepest_negation_chain():
+    instance = compile_network(parse_formula("!" * MAX_FORMULA_DEPTH + "x"))
+    assert instance.phi_node == "not_1"
+    assert marginal(instance.network, {instance.phi_node: "T"}) == 0.5
 
 
 def test_compile_operator_names_cannot_collide_with_variables():
