@@ -31,7 +31,9 @@ import reprlib
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, product
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -165,12 +167,7 @@ def joint_table(
     holders: list[list[int]] = [[] for _ in hidden]
     for scope, values in _base_factors(net, names):
         if not observed.keys().isdisjoint(scope):
-            axis = 0
-            for var in scope:
-                if var in observed:
-                    values = np.take(values, observed[var], axis=axis)
-                else:
-                    axis += 1
+            values = values[tuple([observed.get(var, slice(None)) for var in scope])]
         scope = tuple([ids[v] for v in scope if v in ids])
         members = [j for j in scope if j < n]
         mask = sum([1 << j for j in members])
@@ -374,7 +371,7 @@ def map_solve(
         raise InvalidQueryError("hypothesis overlaps the conditioning context")
 
     joints = candidate_joints(net, hyp, context, method, guard=guard)
-    p_context = sum(joints)
+    p_context = reduce(add, joints)  # left to right: the builtin sum is compensated from Python 3.12
     if p_context == 0.0:
         raise InfeasibleQueryError(f"conditioning context {brief(context)} has probability zero")
 

@@ -21,7 +21,8 @@ import reprlib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from graphlib import CycleError, TopologicalSorter
+from itertools import chain, product, repeat
 from math import prod
 from operator import lt, sub
 from typing import TypeVar
@@ -311,36 +312,27 @@ def _cycle_text(cycle: list[str]) -> str:
     return " -> ".join(map(cut, shown))
 
 
+def _parent_lists(net: Network) -> dict[str, list[str]]:
+    # Each declared child's resolvable parents; the last CPT of a child counts.
+    index = net._var_index
+    return {c.child: [p for p in c.parents if p in index] for c in net.cpts if c.child in index}
+
+
 def _find_cycle(net: Network) -> list[str] | None:
-    # Iterative DFS over resolvable edges only; returns one cycle if present.
-    parents = {
-        c.child: [p for p in c.parents if p in net._var_index]
-        for c in net.cpts
-        if c.child in net._var_index
-    }
-    color: dict[str, int] = {}  # 0 unseen, 1 on stack, 2 done
-    for root in parents:
-        if color.get(root, 0) != 0:
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        path: list[str] = []
-        while stack:
-            node, i = stack.pop()
-            if i == 0:
-                color[node] = 1
-                path.append(node)
-            kids = parents.get(node, [])
-            if i < len(kids):
-                stack.append((node, i + 1))
-                nxt = kids[i]
-                state = color.get(nxt, 0)
-                if state == 1:
-                    return path[path.index(nxt):] + [nxt]
-                if state == 0:
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                path.pop()
+    # One cycle as a closed walk along parent edges, or None.  Each child is
+    # given its parents as successors, so graphlib's search walks the parent
+    # lists from the children in CPT order.
+    parents = _parent_lists(net)
+    sorter = TopologicalSorter()
+    for child in parents:
+        sorter.add(child)
+    for child, ps in parents.items():
+        for p in ps:
+            sorter.add(p, child)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        return exc.args[1]
     return None
 
 
@@ -392,26 +384,24 @@ def canonical_vars(net: Network, vars: Iterable[str]) -> tuple[str, ...]:
 def topological_order(net: Network) -> list[str]:
     """Variables ordered so every parent precedes its children.
 
-    Deterministic: among simultaneously ready variables the one declared
-    first wins.  Raises NetworkValidationError on a cycle.
+    Each distinct name is placed once, and the last CPT of a child gives its
+    parents.  Deterministic: among simultaneously ready variables the one
+    with the lowest ``declaration_index`` wins.  Raises NetworkValidationError
+    on a cycle.
     """
-    indegree = {v.name: 0 for v in net.variables}
-    for c in net.cpts:
-        if c.child in indegree:
-            indegree[c.child] = sum(1 for p in c.parents if p in indegree)
-    ready = [net.declaration_index(n) for n, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
+    sorter = TopologicalSorter({name: () for name in net.names} | _parent_lists(net))
+    try:
+        sorter.prepare()
+    except CycleError:
+        raise NetworkValidationError([Violation("cycle", "graph", _cycle_text(_find_cycle(net)))]) from None
+    ready: list[int] = []
     order: list[str] = []
-    while ready:
+    while sorter.is_active():
+        for name in sorter.get_ready():
+            heapq.heappush(ready, net.declaration_index(name))
         name = net.variables[heapq.heappop(ready)].name
         order.append(name)
-        for child in net.children(name):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, net.declaration_index(child))
-    if len(order) != len(net.variables):
-        cycle = _find_cycle(net) or []
-        raise NetworkValidationError([Violation("cycle", "graph", _cycle_text(cycle))])
+        sorter.done(name)
     return order
 
 
@@ -493,9 +483,8 @@ def enumerate_assignments(net: Network, vars: Iterable[str]) -> Iterator[Assignm
     the single empty assignment.
     """
     names = ordered_vars(net, vars)
-    total = assignment_count(net, names)
-    for rank in range(total):
-        yield assignment_at(net, names, rank)
+    for states in product(*(net.variable(name).states for name in names)):
+        yield dict(zip(names, states))
 
 
 # ---------------------------------------------------------------------------

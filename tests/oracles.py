@@ -182,3 +182,48 @@ def brute_min_fill_order(adjacency: dict[str, set[str]], priority: dict[str, int
                     adj[a].add(b)
         order.append(best)
     return order, width
+
+
+def last_cpt_parents(net: Network) -> dict[str, set[str]]:
+    """Each declared name's declared parents; the last CPT of a child counts."""
+    declared = set(net.names)
+    parents: dict[str, set[str]] = {name: set() for name in net.names}
+    for cpt in net.cpts:
+        if cpt.child in declared:
+            parents[cpt.child] = {p for p in cpt.parents if p in declared}
+    return parents
+
+
+def peel_acyclic(net: Network) -> bool:
+    """Whether the parent graph is acyclic: peel off parentless nodes until none is left.
+
+    The graph has one node per declared name and the edges of each child's
+    last CPT whose parent is declared.
+    """
+    parents = last_cpt_parents(net)
+    while True:
+        roots = {name for name, ps in parents.items() if not ps}
+        if not roots:
+            return not parents
+        for name in roots:
+            del parents[name]
+        for ps in parents.values():
+            ps -= roots
+
+
+def reference_topological_order(net: Network) -> list[str] | None:
+    """Place, one at a time, the lowest-declared variable whose parents are all placed.
+
+    A name declared twice ranks at its last declaration.  None when some
+    variable can never be placed, that is on a cycle.
+    """
+    parents = last_cpt_parents(net)
+    rank = {name: i for i, name in enumerate(net.names)}
+    order: list[str] = []
+    while len(order) < len(parents):
+        placed = set(order)
+        ready = [name for name in parents if name not in placed and parents[name] <= placed]
+        if not ready:
+            return None
+        order.append(min(ready, key=rank.__getitem__))
+    return order

@@ -1,3 +1,7 @@
+import builtins
+import functools
+import math
+import operator
 import random
 
 import numpy as np
@@ -500,6 +504,30 @@ def test_map_builds_one_table(fig1b, monkeypatch):
     monkeypatch.setattr(inference, "joint_table", counting)
     map_solve(fig1b, ("B", "A"), {"C": "T"})
     assert built == [("A", "B")]
+
+
+def _compensated_sum(values, start=0):
+    # The builtin sum of Python 3.12+: exact on ints, compensated on floats.
+    values = list(values)
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values, start)
+    return math.fsum([start, *values])
+
+
+@pytest.mark.parametrize("method", ["ve", "brute"])
+def test_map_posterior_does_not_depend_on_the_builtin_sum(monkeypatch, method):
+    # Seed 35's nine joints total differently under a compensated sum, enough
+    # to move the posterior; the report must keep the left-to-right total.
+    rng = random.Random(35)
+    net = random_network(rng, 6, max_states=3)
+    evidence = random_assignment(rng, net, ["V0"])
+    joints = candidate_joints(net, ("V4", "V5"), evidence, method)
+    best, total = max(joints), functools.reduce(operator.add, joints)
+    assert best / _compensated_sum(joints) != best / total
+    monkeypatch.setattr(inference, "sum", _compensated_sum, raising=False)
+    result = map_solve(net, ("V4", "V5"), evidence, method=method)
+    assert result.joint_probability == best
+    assert result.posterior == best / total
 
 
 def test_map_zero_context():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from mapindep.model import (
     QueryPartition,
     Variable,
     Violation,
+    _cycle_text,
+    _find_cycle,
     _holds_everywhere,
     _locate_violations,
     _min_fill,
@@ -27,7 +30,7 @@ from mapindep.model import (
     validate_network,
 )
 from netgen import corrupted_network, random_network
-from oracles import brute_min_fill_order, chain_product
+from oracles import brute_min_fill_order, chain_product, last_cpt_parents, peel_acyclic, reference_topological_order
 
 TF = ("T", "F")
 
@@ -175,7 +178,7 @@ def test_whole_network_check_agrees_with_the_locating_pass():
 
 
 def test_whole_network_check_passes_the_fixtures(fig1a, fig1b, fn_bin, fn_ter):
-    # fig1a and fig1b declare children before parents, so acyclicity takes the DFS.
+    # fig1a and fig1b declare children before parents, so acyclicity takes _find_cycle.
     for net in (fig1a, fig1b, fn_bin, fn_ter):
         assert _holds_everywhere(net)
 
@@ -251,6 +254,91 @@ def test_topological_respects_edges_on_random_dags():
         for c in net.cpts:
             for p in c.parents:
                 assert position[p] < position[c.child]
+
+
+def _structure(decl, cpts):
+    # Only the graph matters here: every CPT gets a uniform row per parent assignment.
+    return Network(
+        "structure",
+        tuple(Variable(n, TF) for n in decl),
+        tuple(Cpt(c, ps, ((0.5, 0.5),) * 2 ** len(ps)) for c, ps in cpts),
+    )
+
+
+CYCLE_TEXTS = [
+    # Children declared before their parents; each network has two or more cycles.
+    ("DCBA", [("C", ("D",)), ("A", ("B",)), ("D", ("C",)), ("B", ("A",))], "C -> D -> C"),
+    ("EDCBA", [("A", ("B", "E")), ("B", ("C",)), ("C", ("A", "D")), ("D", ("B",)), ("E", ())],
+     "A -> B -> C -> A"),
+    ("CBA", [("A", ("B",)), ("B", ("C",)), ("C", ("C", "A"))], "C -> C"),
+    ("CBA", [("A", ("B",)), ("B", ("C",)), ("C", ("B", "A"))], "B -> C -> B"),
+    ([f"V{i}" for i in range(7, -1, -1)], [(f"V{i}", (f"V{(i - 1) % 8}", f"V{(i + 3) % 8}")) for i in range(8)],
+     "V0 -> V7 -> V6 -> V5 -> ... -> V0"),
+    ("FEDCBA", [("A", ("F",)), ("B", ("A",)), ("C", ("B",)), ("D", ("C", "A")), ("E", ("D",)), ("F", ("E", "B"))],
+     "A -> F -> E -> D -> ... -> A"),
+    # The last CPT of A counts: its first CPT has no parents.
+    ("CBA", [("A", ()), ("B", ("A",)), ("C", ("B",)), ("A", ("C", "B"))], "A -> C -> B -> A"),
+]
+
+
+@pytest.mark.parametrize("decl, cpts, text", CYCLE_TEXTS)
+def test_cycle_text_is_pinned(decl, cpts, text):
+    net = _structure(decl, cpts)
+    assert Violation("cycle", "graph", text) in validate_network(net)
+    with pytest.raises(NetworkValidationError, match=f"^invalid network: cycle at graph: {re.escape(text)}$"):
+        topological_order(net)
+
+
+def test_topological_order_places_a_name_declared_twice_once():
+    # Acyclic: V1 is declared twice and ranks at its last declaration.
+    net = _structure(["V0", "V1", "V2", "V1"], [("V0", ()), ("V1", ()), ("V2", ("V0",))])
+    assert topological_order(net) == ["V0", "V2", "V1"]
+
+
+def test_topological_order_follows_the_last_cpt_of_a_child():
+    # C's CPT is repeated: placing A must not release C before B.
+    net = _structure("CAB", [("A", ()), ("B", ()), ("C", ("A", "B")), ("C", ("A", "B"))])
+    assert topological_order(net) == ["A", "B", "C"]
+    # The last CPT counts: B's second CPT drops its parent.
+    net = _structure("CBA", [("A", ("B",)), ("B", ("C",)), ("C", ()), ("B", ())])
+    assert topological_order(net) == ["C", "B", "A"]
+
+
+def _graph_cases():
+    # Corrupted networks, and random networks declared out of order, half of
+    # them with one extra parent edge that may close a cycle.
+    for seed in range(3000):
+        yield corrupted_network(random.Random(seed))
+    rng = random.Random(24)
+    for _ in range(300):
+        net = random_network(rng, rng.randint(1, 10))
+        variables, cpts = list(net.variables), list(net.cpts)
+        rng.shuffle(variables)
+        rng.shuffle(cpts)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(cpts))
+            cpts[i] = Cpt(cpts[i].child, (*cpts[i].parents, rng.choice(net.names)), cpts[i].rows)
+        yield Network(net.name, tuple(variables), tuple(cpts))
+
+
+def test_graph_queries_agree_with_the_oracles():
+    cyclic = 0
+    for net in _graph_cases():
+        cycle = _find_cycle(net)
+        assert (cycle is None) == peel_acyclic(net)
+        reference = reference_topological_order(net)
+        if cycle is None:
+            assert topological_order(net) == reference
+            continue
+        cyclic += 1
+        parents = last_cpt_parents(net)
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert all(parent in parents[child] for child, parent in zip(cycle, cycle[1:]))
+        assert reference is None
+        with pytest.raises(NetworkValidationError) as raised:
+            topological_order(net)
+        assert raised.value.violations == [Violation("cycle", "graph", _cycle_text(cycle))]
+    assert cyclic > 200
 
 
 # ---------------------------------------------------------------------------
