@@ -20,11 +20,11 @@ import heapq
 import reprlib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, product, repeat
 from math import prod
-from operator import lt, sub
+from operator import add, lt, sub
 from typing import TypeVar
 
 from .errors import InvalidQueryError, NetworkValidationError, cut
@@ -89,15 +89,6 @@ class Network:
     def _cpt_by_child(self) -> dict[str, Cpt]:
         return {c.child: c for c in self.cpts}
 
-    @cached_property
-    def _children(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {v.name: [] for v in self.variables}
-        for c in self.cpts:
-            for p in c.parents:
-                if p in out:
-                    out[p].append(c.child)
-        return {k: tuple(v) for k, v in out.items()}
-
     def _unknown_variable(self, name: str) -> InvalidQueryError:
         return InvalidQueryError(f"unknown variable {reprlib.repr(name)} in network {reprlib.repr(self.name)}")
 
@@ -113,10 +104,6 @@ class Network:
 
     def parents(self, name: str) -> tuple[str, ...]:
         return self.cpt(name).parents
-
-    def children(self, name: str) -> tuple[str, ...]:
-        self.variable(name)
-        return self._children[name]
 
     def state_index(self, var: str, state: str) -> int:
         """The position of ``state`` in ``var``'s state list.  It is looked up
@@ -232,7 +219,9 @@ def _holds_everywhere(net: Network) -> bool:
     total = sum(entries)  # NaN if any entry is NaN, which min and max may miss
     if not (total == total and 0.0 <= min(entries) and max(entries) <= 1.0):
         return False
-    if max(map(abs, map(sub, map(sum, rows), repeat(1.0)))) > ROW_SUM_TOL:
+    # Each row added left to right from 0, as _locate_violations does.
+    row_sums = map(reduce, repeat(add), rows, repeat(0))
+    if max(map(abs, map(sub, row_sums, repeat(1.0)))) > ROW_SUM_TOL:
         return False
     # Acyclic: every parent declared before its child, or else no cycle found.
     index = net._var_index
@@ -291,10 +280,11 @@ def _locate_violations(net: Network) -> list[Violation]:
                 continue
             if any(not 0.0 <= p <= 1.0 for p in row):  # NaN fails every comparison
                 out.append(Violation("probability_range", f"cpt {cut(c.child)} row {i}", "entry outside [0, 1]"))
-            deviation = abs(sum(row) - 1.0)
+            total = reduce(add, row, 0)  # left to right: the builtin sum is compensated from Python 3.12
+            deviation = abs(total - 1.0)
             if deviation > ROW_SUM_TOL:
                 out.append(Violation("row_sum", f"cpt {cut(c.child)} row {i}",
-                                     f"sums to {sum(row)!r}, deviation {deviation:g}"))
+                                     f"sums to {total!r}, deviation {deviation:g}"))
 
     missing = [n for n in cards if n not in seen_children]
     for n in missing:
@@ -420,10 +410,11 @@ def ancestors(net: Network, names: Iterable[str]) -> set[str]:
 def d_separated(net: Network, x: Iterable[str], y: Iterable[str], z: Iterable[str]) -> bool:
     """Whether every undirected path between ``x`` and ``y`` is blocked given ``z``.
 
-    Standard d-separation semantics, decided by reachability over
-    (node, direction) pairs: a trail through an unobserved chain or fork
-    stays active, and a collider is active only if it or one of its
-    descendants is observed.
+    Standard d-separation semantics, decided by the moralisation criterion
+    (Lauritzen, Dawid, Larsen & Leimer, 1990): ``x`` and ``y`` are
+    d-separated by ``z`` exactly when ``z`` separates them in the moral graph
+    of the ancestral set of all three.  The last CPT of a child gives its
+    parents.
     """
     if isinstance(z, Mapping):
         z = z.keys()
@@ -433,28 +424,13 @@ def d_separated(net: Network, x: Iterable[str], y: Iterable[str], z: Iterable[st
     if xs & ys or xs & zs or ys & zs:
         raise InvalidQueryError("d-separation query sets must be pairwise disjoint")
 
-    # Observed nodes and their ancestors: the nodes that can activate a collider.
-    anc = ancestors(net, zs)
-
-    UP, DOWN = 0, 1  # arrived from a child / from a parent
-    visited: set[tuple[str, int]] = set()
-    frontier2 = [(n, UP) for n in xs]
-    while frontier2:
-        node, direction = frontier2.pop()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node not in zs and node in ys:
-            return False
-        if direction == UP and node not in zs:
-            frontier2.extend((p, UP) for p in net.parents(node))
-            frontier2.extend((c, DOWN) for c in net.children(node))
-        elif direction == DOWN:
-            if node not in zs:
-                frontier2.extend((c, DOWN) for c in net.children(node))
-            if node in anc:
-                frontier2.extend((p, UP) for p in net.parents(node))
-    return True
+    adj = moral_adjacency(net, ancestors(net, xs | ys | zs))
+    reached, frontier = set(xs), list(xs)
+    while frontier:
+        new = adj[frontier.pop()] - zs - reached
+        reached |= new
+        frontier.extend(new)
+    return reached.isdisjoint(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +550,22 @@ def _min_fill(nodes: Sequence[T], neighbours: Sequence[int]) -> tuple[list[T], i
     return order, width
 
 
-def moral_adjacency(net: Network) -> dict[str, set[str]]:
-    """Undirected moral graph: each CPT's family {child} + parents forms a clique."""
-    adj: dict[str, set[str]] = {v.name: set() for v in net.variables}
-    for c in net.cpts:
-        family = (c.child, *c.parents)
-        for a in family:
-            for b in family:
-                if a != b:
-                    adj[a].add(b)
+def moral_adjacency(net: Network, names: Iterable[str] | None = None) -> dict[str, set[str]]:
+    """Undirected moral graph over ``names``, every variable by default.
+
+    Each child's family, the child and its parents, forms a clique; the last
+    CPT of a child gives its parents, as ``Network.parents`` does.  ``names``
+    must be ancestral (hold every parent of each of its members), so that
+    every family met lies inside it.
+    """
+    adj: dict[str, set[str]] = {n: set() for n in (net.names if names is None else names)}
+    for c in net._cpt_by_child.values():
+        if c.child in adj:
+            family = (c.child, *c.parents)
+            for a in family:
+                adj[a].update(family)
+    for a, ns in adj.items():
+        ns.discard(a)
     return adj
 
 

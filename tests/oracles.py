@@ -7,6 +7,8 @@ code with the factor engine or the sweep machinery they are used to verify.
 
 from __future__ import annotations
 
+import builtins
+import math
 from itertools import product
 
 from mapindep.compiler import FormulaAst, evaluate, formula_variables
@@ -227,3 +229,53 @@ def reference_topological_order(net: Network) -> list[str] | None:
             return None
         order.append(min(ready, key=rank.__getitem__))
     return order
+
+
+def brute_d_separated(net: Network, x: set[str], y: set[str], z: set[str]) -> bool:
+    """Whether no simple undirected path from a node of ``x`` to one of ``y`` is active given ``z``.
+
+    A path is active when each node inside it that is not a collider is
+    outside ``z``, and each collider (both of its path edges point into it)
+    is in ``z`` or has a descendant in ``z``.  The edges are those of each
+    child's last CPT.  A path is not extended past a node that blocks it,
+    nor past a node of ``y``: every extension would hold the same block, or
+    the active path to that node.
+    """
+    parents = last_cpt_parents(net)
+    children: dict[str, set[str]] = {name: set() for name in parents}
+    for child, ps in parents.items():
+        for p in ps:
+            children[p].add(child)
+
+    def descendants(name: str) -> set[str]:
+        found, frontier = {name}, [name]
+        while frontier:
+            for c in children[frontier.pop()] - found:
+                found.add(c)
+                frontier.append(c)
+        return found
+
+    def blocks(prev: str, node: str, nxt: str) -> bool:
+        if prev in parents[node] and nxt in parents[node]:
+            return descendants(node).isdisjoint(z)
+        return node in z
+
+    def active_path_from(path: list[str]) -> bool:
+        if path[-1] in y:
+            return True
+        for nxt in (parents[path[-1]] | children[path[-1]]) - set(path):
+            if len(path) >= 2 and blocks(path[-2], path[-1], nxt):
+                continue
+            if active_path_from([*path, nxt]):
+                return True
+        return False
+
+    return not any(active_path_from([start]) for start in x)
+
+
+def compensated_sum(values, start=0):
+    # The builtin sum of Python 3.12+: exact on ints, compensated on floats.
+    values = list(values)
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values, start)
+    return math.fsum([start, *values])

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 import re
 
@@ -5,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapindep import model
 from mapindep.errors import InvalidQueryError, NetworkValidationError
 from mapindep.model import (
+    ROW_SUM_TOL,
     Cpt,
     Network,
     QueryPartition,
@@ -30,7 +34,15 @@ from mapindep.model import (
     validate_network,
 )
 from netgen import corrupted_network, random_network
-from oracles import brute_min_fill_order, chain_product, last_cpt_parents, peel_acyclic, reference_topological_order
+from oracles import (
+    brute_d_separated,
+    brute_min_fill_order,
+    chain_product,
+    compensated_sum,
+    last_cpt_parents,
+    peel_acyclic,
+    reference_topological_order,
+)
 
 TF = ("T", "F")
 
@@ -181,6 +193,37 @@ def test_whole_network_check_passes_the_fixtures(fig1a, fig1b, fn_bin, fn_ter):
     # fig1a and fig1b declare children before parents, so acyclicity takes _find_cycle.
     for net in (fig1a, fig1b, fn_bin, fn_ter):
         assert _holds_everywhere(net)
+
+
+def _one_row(row):
+    # A single parentless variable whose CPT is ``row``.
+    states = tuple(f"s{i}" for i in range(len(row)))
+    return Network("row", (Variable("A", states),), (Cpt("A", (), (tuple(row),)),))
+
+
+def test_row_sum_message_does_not_depend_on_the_builtin_sum(monkeypatch):
+    # A compensated sum (the builtin's from Python 3.12) totals this row to
+    # 1.000000002; the message keeps the left-to-right total.
+    net = _one_row([0.4114051791491751, 0.0857513609328521, 0.42828718846975783, 0.07455627344821497])
+    expected = [Violation("row_sum", "cpt A row 0", "sums to 1.0000000020000002, deviation 2e-09")]
+    assert validate_network(net) == expected
+    monkeypatch.setattr(model, "sum", compensated_sum, raising=False)
+    assert validate_network(net) == expected
+
+
+@pytest.mark.parametrize("row", [
+    # Found by seeded search: the left-to-right and compensated sums of each
+    # row fall on opposite sides of ROW_SUM_TOL, the first row's outside it.
+    [0.467433250104427, 0.46342071183174854, 0.027649625532938007, 0.04149641353088643],
+    [0.2775465252614627, 0.2103126240377874, 0.23490797309459233, 0.2772328786061576],
+])
+def test_row_sum_verdict_does_not_depend_on_the_builtin_sum(monkeypatch, row):
+    left_to_right = abs(functools.reduce(operator.add, row) - 1.0) > ROW_SUM_TOL
+    assert left_to_right != (abs(compensated_sum(row) - 1.0) > ROW_SUM_TOL)
+    net = _one_row(row)
+    assert [v.code for v in validate_network(net)] == ["row_sum"] * left_to_right
+    monkeypatch.setattr(model, "sum", compensated_sum, raising=False)
+    assert [v.code for v in validate_network(net)] == ["row_sum"] * left_to_right
 
 
 def test_missing_and_duplicate_cpts():
@@ -412,6 +455,39 @@ def test_dsep_symmetric_on_random_networks():
         rng.shuffle(names)
         x, y, z = {names[0]}, {names[1]}, set(names[2:2 + rng.randint(0, 3)])
         assert d_separated(net, x, y, z) == d_separated(net, y, x, z)
+
+
+def test_dsep_agrees_with_the_path_oracle():
+    rng = random.Random(25)
+    verdicts = []
+    for _ in range(300):
+        net = random_network(rng, rng.randint(3, 9), max_parents=rng.randint(1, 4), max_states=3)
+        for _ in range(5):
+            names = list(net.names)
+            rng.shuffle(names)
+            a, b = rng.randint(1, 2), rng.randint(1, 2)
+            if a + b > len(names):
+                a = b = 1
+            c = rng.randint(0, min(3, len(names) - a - b))
+            x, y, z = set(names[:a]), set(names[a:a + b]), set(names[a + b:a + b + c])
+            verdict = d_separated(net, x, y, z)
+            assert verdict == brute_d_separated(net, x, y, z), (net.cpts, x, y, z)
+            verdicts.append(verdict)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_graph_queries_read_the_last_cpt_of_a_child():
+    # B's CPTs list A, then no parent: the last one counts, so A and B share no edge.
+    net = _structure("AB", [("A", ()), ("B", ("A",)), ("B", ())])
+    assert net.parents("B") == ()
+    assert moral_adjacency(net) == {"A": set(), "B": set()}
+    assert d_separated(net, {"A"}, {"B"}, set()) is True
+
+
+def test_moral_adjacency_over_an_ancestral_set():
+    net = collider()  # C1 -> M <- C2
+    assert moral_adjacency(net) == {"C1": {"C2", "M"}, "C2": {"C1", "M"}, "M": {"C1", "C2"}}
+    assert moral_adjacency(net, {"C1", "C2"}) == {"C1": set(), "C2": set()}
 
 
 def test_dsep_unknown_variable():
