@@ -23,20 +23,27 @@ left-associative and always parse to strictly binary AST nodes.  A chain of
 at most ``MAX_FORMULA_DEPTH`` (200) levels deep, counted together: the parser
 recurses once per level, and a deeper formula is refused with a
 ``FormulaSyntaxError`` at the byte offset of the first token past the bound.
+
+Only the parser recurses.  Every other walk (compile, format, evaluate,
+count, list the variables) is one fold on an explicit stack, ``_fold``.
+``count_models`` folds 2^16 assignments at once, each value an integer of at
+most 2^16 bits (8 KB), and holds at most as many values as the tree nests to
+the right.
 """
 
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Union
+from typing import Callable, Union
 
 from .errors import CapacityError, FormulaSyntaxError, InvalidQueryError
 from .model import Assignment, Cpt, Network, Variable
 
 MODEL_COUNT_MAX_VARS = 24
+_BLOCK_VARS = 16  # count_models folds 2^16 assignments at once, one bit each
 
 # How many '!' and '(' levels a formula may nest, counted together.
 MAX_FORMULA_DEPTH = 200
@@ -46,6 +53,10 @@ _T, _F = "T", "F"
 
 @dataclass(frozen=True)
 class Var:
+    """A formula variable.  Here as in Not, And and Or, ``==`` and ``hash``
+    recurse once per level: they hold to 250 levels, but a longer chain of '&'
+    or '|' raises RecursionError; compare it by its ``format_formula`` string."""
+
     name: str
 
 
@@ -101,26 +112,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     offset = 0
     i = 0
     while i < len(text):
-        ch = text[i]
-        nbytes = len(ch.encode("utf-8"))
-        if ch.isspace():
-            i += 1
-            offset += nbytes
+        ch = _ALIASES.get(text[i], text[i])
+        if ch in _IDENT_START:
+            j = i + 1
+            while j < len(text) and text[j] in _IDENT_CONT:
+                j += 1
+            tokens.append(("ident", text[i:j], offset))
+            offset += j - i  # identifier characters are ASCII, one byte each
+            i = j
             continue
-        ch = _ALIASES.get(ch, ch)
         if ch in "!&|()":
             tokens.append((ch, ch, offset))
-            i += 1
-            offset += nbytes
-            continue
-        if ch in _IDENT_START:
-            start_i, start_off = i, offset
-            while i < len(text) and text[i] in _IDENT_CONT:
-                offset += 1  # identifier characters are ASCII, one byte each
-                i += 1
-            tokens.append(("ident", text[start_i:i], start_off))
-            continue
-        raise FormulaSyntaxError(f"unexpected character {text[i]!r}", offset)
+        elif not ch.isspace():  # refused before it is encoded: a lone surrogate has no UTF-8 bytes
+            raise FormulaSyntaxError(f"unexpected character {text[i]!r}", offset)
+        offset += len(text[i].encode("utf-8"))
+        i += 1
     tokens.append(("end", "", offset))
     return tokens
 
@@ -188,72 +194,87 @@ def parse_formula(text: str) -> FormulaAst:
     return ast
 
 
+def _fold(ast: FormulaAst, leaf: Callable, combine: Callable, enter: Callable = lambda op: None):
+    """``ast`` valued bottom-up: a variable by ``leaf(var)``, an operator by
+    ``combine(op, mark, *operand values)``, where ``mark = enter(op)`` was taken
+    when the walk first reached it (preorder).  Leaves are met left to right,
+    and a subtree is walked once per occurrence."""
+    stack: list = [ast]
+    values: list = []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            values.append(leaf(node))
+        elif isinstance(node, tuple):  # (operator, mark, arity), pushed under its operands
+            op, mark, arity = node
+            operands = values[-arity:]
+            del values[-arity:]
+            values.append(combine(op, mark, *operands))
+        elif isinstance(node, Not):
+            stack += [(node, enter(node), 1), node.operand]
+        else:
+            stack += [(node, enter(node), 2), node.right, node.left]
+    return values[0]
+
+
 def format_formula(ast: FormulaAst) -> str:
-    """Canonical ASCII rendering; parse(format(ast)) reproduces the AST."""
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Not):
-        return f"!{_wrap(ast.operand)}"
-    op = "&" if isinstance(ast, And) else "|"
-    return f"{_wrap(ast.left)} {op} {_wrap(ast.right)}"
+    """Canonical ASCII rendering; parse(format(ast)) reproduces the AST while
+    the rendering nests '!' and '(' at most ``MAX_FORMULA_DEPTH`` deep."""
 
+    def show(op, _, first, second=None):
+        if isinstance(op, Not):
+            return f"!({first})" if isinstance(op.operand, (And, Or)) else f"!{first}"
+        left = f"({first})" if isinstance(op.left, (And, Or)) else first
+        right = f"({second})" if isinstance(op.right, (And, Or)) else second
+        return f"{left} {'&' if isinstance(op, And) else '|'} {right}"
 
-def _wrap(ast: FormulaAst) -> str:
-    if isinstance(ast, (And, Or)):
-        return f"({format_formula(ast)})"
-    return format_formula(ast)
+    return _fold(ast, lambda var: var.name, show)
 
 
 def formula_variables(ast: FormulaAst) -> tuple[str, ...]:
     """Variable identifiers in order of first occurrence (preorder)."""
     seen: dict[str, None] = {}
-    for node in _preorder(ast):
-        if isinstance(node, Var):
-            seen.setdefault(node.name, None)
+    _fold(ast, lambda var: seen.setdefault(var.name), lambda *_: None)
     return tuple(seen)
 
 
-def _preorder(ast: FormulaAst) -> Iterator[FormulaAst]:
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or)):
-            stack.extend((node.right, node.left))
+def _truth(ast: FormulaAst, env: dict, true):
+    # '!' is '^ true': true is True for bools, all ones for bit-vectors.
+    def connect(op, _, a, b=None):
+        return true ^ a if isinstance(op, Not) else a & b if isinstance(op, And) else a | b
+
+    return _fold(ast, lambda var: env[var.name], connect)
 
 
 def evaluate(ast: FormulaAst, env: dict[str, bool]) -> bool:
-    if isinstance(ast, Var):
-        return env[ast.name]
-    if isinstance(ast, Not):
-        return not evaluate(ast.operand, env)
-    if isinstance(ast, And):
-        return evaluate(ast.left, env) and evaluate(ast.right, env)
-    return evaluate(ast.left, env) or evaluate(ast.right, env)
+    """The formula's truth under ``env``.  Every variable is read (no
+    short-circuit), so ``env`` must map all of them to bools, or KeyError is raised."""
+    return _truth(ast, env, True)
 
 
 def count_models(ast: FormulaAst) -> int:
-    """Exhaustive truth-table count of satisfying assignments (guarded)."""
+    """Exhaustive truth-table count of satisfying assignments (guarded).  The
+    first 16 variables vary within a block of bit-vectors, and each assignment
+    of the rest is one fold, bit k of a value its truth at the k-th row."""
     names = formula_variables(ast)
     if len(names) > MODEL_COUNT_MAX_VARS:
         raise CapacityError(f"model counting guarded at {MODEL_COUNT_MAX_VARS} variables, got {len(names)}")
-    count = 0
-    for values in product((False, True), repeat=len(names)):
-        if evaluate(ast, dict(zip(names, values))):
-            count += 1
-    return count
+    inner, outer = names[:_BLOCK_VARS], names[_BLOCK_VARS:]
+    full = (1 << (1 << len(inner))) - 1
+    # Bit k of variable i's column is bit i of k: runs of 2^i zeros and ones.
+    columns = {v: full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i, v in enumerate(inner)}
+    return sum(_truth(ast, columns | dict(zip(outer, fixed)), full).bit_count()
+               for fixed in product((0, full), repeat=len(outer)))
 
 
 # ---------------------------------------------------------------------------
 # network construction
 
 # Rows over the parent assignments (last parent fastest), columns (T, F).
-_NOT_ROWS = ((0.0, 1.0), (1.0, 0.0))
 _ID_ROWS = ((1.0, 0.0), (0.0, 1.0))
-_AND_ROWS = ((1.0, 0.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-_OR_ROWS = ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+_ROWS = {Var: _ID_ROWS, Not: ((0.0, 1.0), (1.0, 0.0)), And: ((1.0, 0.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
+         Or: ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0))}
+_KIND = {Var: "id", Not: "not", And: "and", Or: "or"}
 
 
 def compile_network(ast: FormulaAst, name: str = "compiled") -> CompiledInstance:
@@ -271,41 +292,27 @@ def compile_network(ast: FormulaAst, name: str = "compiled") -> CompiledInstance
     cpts = [Cpt(v, (), ((0.5, 0.5),)) for v in var_names]
     counter = 0
 
-    def fresh(kind: str) -> str:
+    def fresh(op: FormulaAst) -> str:
         nonlocal counter
         counter += 1
-        node = f"{kind}_{counter}"
+        node = f"{_KIND[type(op)]}_{counter}"
         while node in taken:
             node = "_" + node
         taken.add(node)
         return node
 
-    # An explicit stack, so that no formula is too deep to compile: an
-    # operator is named when it is popped (preorder), and declared when the
-    # (name, rows, arity) entry pushed under its operands is popped after
-    # them (post-order).  A bare variable starts under its identity node.
-    stack: list = [(fresh("id"), _ID_ROWS, 1), ast] if isinstance(ast, Var) else [ast]
-    built: list[str] = []  # node names of the operands built so far
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            built.append(node.name)
-        elif isinstance(node, Not):
-            stack += [(fresh("not"), _NOT_ROWS, 1), node.operand]
-        elif isinstance(node, (And, Or)):
-            kind, rows = ("and", _AND_ROWS) if isinstance(node, And) else ("or", _OR_ROWS)
-            stack += [(fresh(kind), rows, 2), node.right, node.left]
-        else:
-            name_, rows, arity = node
-            operands = tuple(built[-arity:])
-            del built[-arity:]
-            if arity == 2 and operands[0] == operands[1]:
-                # x&x and x|x both collapse to the diagonal of the truth table.
-                operands, rows = operands[:1], _ID_ROWS
-            variables.append(Variable(name_, (_T, _F)))
-            cpts.append(Cpt(name_, operands, rows))
-            built.append(name_)
-    (phi,) = built
+    def declare(op: FormulaAst, name_: str, *operands: str) -> str:
+        rows = _ROWS[type(op)]
+        if len(operands) == 2 and operands[0] == operands[1]:
+            # x&x and x|x both collapse to the diagonal of the truth table.
+            operands, rows = operands[:1], _ID_ROWS
+        variables.append(Variable(name_, (_T, _F)))
+        cpts.append(Cpt(name_, operands, rows))
+        return name_
+
+    phi = _fold(ast, lambda var: var.name, declare, fresh)
+    if isinstance(ast, Var):
+        phi = declare(ast, fresh(ast), phi)
     net = Network(name=name, variables=tuple(variables), cpts=tuple(cpts))
     return CompiledInstance(network=net, phi_node=phi, variable_nodes=var_names)
 
@@ -318,26 +325,15 @@ def build_amajsat_instance(ast: FormulaAst, a_vars) -> CompiledInstance:
     of assignments to the remaining variables satisfying the formula.
     """
     a = tuple(a_vars)
-    names = formula_variables(ast)
+    compiled = compile_network(ast)
     if not a:
         raise InvalidQueryError("the A-set must be non-empty")
     if len(set(a)) != len(a):
         raise InvalidQueryError("the A-set contains duplicates")
-    unknown = [v for v in a if v not in names]
+    unknown = [v for v in a if v not in compiled.variable_nodes]
     if unknown:
         raise InvalidQueryError(f"A-set variables not in the formula: {reprlib.repr(unknown)}")
-    if len(a) >= len(names):
+    if len(a) >= len(compiled.variable_nodes):
         raise InvalidQueryError("the A-set must be a proper subset of the formula variables")
-    compiled = compile_network(ast)
-    query = ThresholdQuery(
-        h_star={compiled.phi_node: _T},
-        focus=a,
-        evidence={},
-        s=Fraction(1, 2 ** (len(a) + 1)),
-    )
-    return CompiledInstance(
-        network=compiled.network,
-        phi_node=compiled.phi_node,
-        variable_nodes=compiled.variable_nodes,
-        query=query,
-    )
+    query = ThresholdQuery(h_star={compiled.phi_node: _T}, focus=a, evidence={}, s=Fraction(1, 2 ** (len(a) + 1)))
+    return replace(compiled, query=query)

@@ -100,6 +100,8 @@ class Network:
 
     def cpt(self, name: str) -> Cpt:
         self.variable(name)
+        if name not in self._cpt_by_child:
+            raise NetworkValidationError([Violation("missing_cpt", f"variable {cut(name)}", "no CPT declared")])
         return self._cpt_by_child[name]
 
     def parents(self, name: str) -> tuple[str, ...]:

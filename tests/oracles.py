@@ -11,7 +11,9 @@ import builtins
 import math
 from itertools import product
 
-from mapindep.compiler import FormulaAst, evaluate, formula_variables
+import numpy as np
+
+from mapindep.compiler import And, FormulaAst, Not, Var, evaluate, formula_variables
 from mapindep.model import Network
 
 
@@ -151,6 +153,24 @@ def brute_amajsat(ast: FormulaAst, a_vars: tuple[str, ...]) -> bool:
         if not 2 * satisfying > half:
             return False
     return True
+
+
+def truth_table_count(ast: FormulaAst) -> int:
+    """The formula's satisfying assignments, counted on its whole truth table
+    at once: one numpy boolean per row, valued by recursion over the AST."""
+    names = formula_variables(ast)
+    rows = np.arange(2 ** len(names))
+    columns = {v: (rows >> i & 1).astype(bool) for i, v in enumerate(names)}
+
+    def value(node):
+        if isinstance(node, Var):
+            return columns[node.name]
+        if isinstance(node, Not):
+            return ~value(node.operand)
+        left, right = value(node.left), value(node.right)
+        return left & right if isinstance(node, And) else left | right
+
+    return int(np.count_nonzero(value(ast)))
 
 
 def brute_min_fill_order(adjacency: dict[str, set[str]], priority: dict[str, int]) -> tuple[list[str], int]:

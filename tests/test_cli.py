@@ -601,6 +601,13 @@ def test_compile_syntax_error_exit(capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+def test_compile_refuses_an_undecodable_byte(capsys):
+    # A byte that is not UTF-8 reaches argv as a lone surrogate.
+    assert run(["compile", "--formula", "x1 & \udcff"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unexpected character '\\udcff' (byte offset 5)" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--out", "--emit-query"])
 def test_compile_unwritable_output_is_usage_error(tmp_path, capsys, flag):
     target = tmp_path / "missing" / "f.json"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from mapindep.independence import threshold_map_independence
 from mapindep.inference import marginal, posterior
 from mapindep.model import QueryPartition, validate_network
 from netgen import random_formula
-from oracles import brute_amajsat
+from oracles import brute_amajsat, truth_table_count
 
 PHI_EX = "!(x1 & x2) | (x3 | x4)"
 
@@ -118,6 +119,34 @@ def test_count_models_tautology():
     assert count_models(parse_formula("x1 | !x1")) == 2
 
 
+def _brute_count(ast):
+    names = formula_variables(ast)
+    return sum(evaluate(ast, dict(zip(names, values))) for values in product((False, True), repeat=len(names)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(ast=formulas)
+def test_count_models_agrees_with_brute_evaluation(ast):
+    assert count_models(ast) == _brute_count(ast)
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_count_models_past_one_block(n):
+    # Past 16 variables the count folds more than one block of 2^16 assignments.
+    rng = random.Random(n)
+    names = [f"v{i}" for i in range(n)]
+    ast = random_formula(rng, names, 2 * n)
+    while len(formula_variables(ast)) < 17:
+        ast = random_formula(rng, names, 2 * n)
+    assert count_models(ast) == truth_table_count(ast)
+
+
+def test_evaluate_reads_every_variable():
+    # No short-circuit: an env without y fails even where x alone decides.
+    with pytest.raises(KeyError):
+        evaluate(parse_formula("x | y"), {"x": True})
+
+
 def test_count_models_guard():
     wide = " | ".join(f"v{i}" for i in range(25))
     with pytest.raises(CapacityError):
@@ -138,6 +167,41 @@ def test_parse_nesting_bound(opening, closing):
 def test_parse_long_flat_chain():
     ast = parse_formula(" & ".join(f"x{i}" for i in range(3000)))
     assert formula_variables(ast) == tuple(f"x{i}" for i in range(3000))
+
+
+def test_parse_refuses_a_lone_surrogate():
+    # A byte that is not UTF-8 reaches argv as a lone surrogate, which has no UTF-8 encoding.
+    with pytest.raises(FormulaSyntaxError, match="unexpected character") as exc:
+        parse_formula("x1 & \udcff")
+    assert exc.value.offset == 5
+
+
+@pytest.mark.parametrize("op, models", [("|", 2 ** 20 - 1), ("&", 1)])
+def test_long_flat_chain_formats_evaluates_and_counts(op, models):
+    # The left-deep tree of a 1,500-term chain is 1,499 levels deep; no walk recurses.
+    names = [f"x{i % 20}" for i in range(1500)]
+    ast = parse_formula(f" {op} ".join(names))
+    expected = names[0]
+    for i, name in enumerate(names[1:]):
+        expected = f"{expected} {op} {name}" if i == 0 else f"({expected}) {op} {name}"
+    assert format_formula(ast) == expected
+    assert formula_variables(ast) == tuple(f"x{i}" for i in range(20))
+    assert count_models(ast) == models
+    every = dict.fromkeys(names, op == "&")
+    assert evaluate(ast, every) is (op == "&")
+    assert evaluate(ast, every | {"x7": op == "|"}) is (op == "|")
+
+
+def test_ast_equality_and_hash_hold_to_the_documented_depth():
+    # Their dataclass == and hash recurse; the AST docstring promises 250 levels.
+    def build():
+        negations, chain = Var("x"), Var("x")
+        for _ in range(250):
+            negations, chain = Not(negations), Or(chain, Var("x"))
+        return negations, chain
+
+    for ast, copy in zip(build(), build()):
+        assert copy == ast and hash(copy) == hash(ast)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +268,13 @@ def test_compile_long_flat_chain():
     assert net.cpt(f"or_{n - 1}").parents == ("x0", "x1")
     assert instance.phi_node == "or_1"
     assert validate_network(net) == []
+
+
+def test_compile_names_each_occurrence_of_a_shared_subtree():
+    shared = Not(Var("x"))
+    instance = compile_network(And(shared, shared))
+    assert instance.network.names == ("x", "not_2", "not_3", "and_1")
+    assert instance.network.cpt("and_1").parents == ("not_2", "not_3")
 
 
 def test_compile_deepest_negation_chain():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mapindep import model
 from mapindep.errors import InvalidQueryError, NetworkValidationError
+from mapindep.inference import joint_table, map_solve
 from mapindep.model import (
     ROW_SUM_TOL,
     Cpt,
@@ -21,6 +22,7 @@ from mapindep.model import (
     _holds_everywhere,
     _locate_violations,
     _min_fill,
+    ancestors,
     canonical_vars,
     check_assignment,
     d_separated,
@@ -234,6 +236,23 @@ def test_missing_and_duplicate_cpts():
     )
     codes = {v.code for v in validate_network(net)}
     assert {"missing_cpt", "duplicate_cpt"} <= codes
+
+
+@pytest.mark.parametrize("seed", [9, 27, 63])
+def test_a_missing_cpt_raises_the_validation_error(seed):
+    # corrupted_network's missing_cpt fault drops one CPT at these seeds.  Each
+    # call that needs it raises the violation validate_network reports.
+    net = corrupted_network(random.Random(seed))
+    (missing,) = [n for n in net.names if n not in {c.child for c in net.cpts}]
+    other = next(n for n in net.names if n != missing)
+    expected = [v for v in validate_network(net) if v.code == "missing_cpt"]
+    calls = [lambda: net.cpt(missing), lambda: net.parents(missing), lambda: ancestors(net, [missing]),
+             lambda: d_separated(net, [missing], [other], []), lambda: joint_table(net, (missing,), {}),
+             lambda: map_solve(net, [missing])]
+    for call in calls:
+        with pytest.raises(NetworkValidationError) as exc:
+            call()
+        assert exc.value.violations == expected
 
 
 def test_valid_iff_total_probability_one():
