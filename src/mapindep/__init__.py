@@ -49,14 +49,11 @@ from .model import (
     Assignment,
     Cpt,
     Network,
-    NetworkStats,
     QueryPartition,
     Variable,
     Violation,
     d_separated,
     enumerate_assignments,
-    network_stats,
-    topological_order,
     validate_network,
 )
 
@@ -71,7 +68,6 @@ __all__ = [
     "maximum_map_independence", "quantify", "relevance_partition",
     "strong_map_independence", "threshold_map_independence", "weak_map_independence",
     "MapResult", "joint_probability", "map_solve", "map_threshold", "marginal", "posterior",
-    "Assignment", "Cpt", "Network", "NetworkStats", "QueryPartition", "Variable", "Violation",
-    "d_separated", "enumerate_assignments", "network_stats", "topological_order",
-    "validate_network",
+    "Assignment", "Cpt", "Network", "QueryPartition", "Variable", "Violation",
+    "d_separated", "enumerate_assignments", "validate_network",
 ]

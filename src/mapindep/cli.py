@@ -536,10 +536,7 @@ def _cmd_query(args) -> int:
                 net, partition, table_limit=table_limit, strict_zeros=args.strict_zeros
             )
         elif mode == "maximum":
-            k = query["k"]
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise DocumentError("k must be an integer")
-            report = maximum_map_independence(net, partition, k, strict_zeros=args.strict_zeros)
+            report = maximum_map_independence(net, partition, query["k"], strict_zeros=args.strict_zeros)
         else:  # threshold; modes are validated by load_query
             report = threshold_map_independence(
                 net,

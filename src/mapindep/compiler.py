@@ -219,12 +219,16 @@ def _fold(ast: FormulaAst, leaf: Callable, combine: Callable, enter: Callable = 
 
 def format_formula(ast: FormulaAst) -> str:
     """Canonical ASCII rendering; parse(format(ast)) reproduces the AST while
-    the rendering nests '!' and '(' at most ``MAX_FORMULA_DEPTH`` deep."""
+    the rendering nests '!' and '(' at most ``MAX_FORMULA_DEPTH`` deep.  The
+    connectives are left-associative, so a left operand of the same connective
+    goes bare and a left-nested chain of any length round-trips; every other
+    binary operand is parenthesised, so a right-nested chain deeper than that
+    bound does not."""
 
     def show(op, _, first, second=None):
         if isinstance(op, Not):
             return f"!({first})" if isinstance(op.operand, (And, Or)) else f"!{first}"
-        left = f"({first})" if isinstance(op.left, (And, Or)) else first
+        left = f"({first})" if isinstance(op.left, (And, Or)) and type(op.left) is not type(op) else first
         right = f"({second})" if isinstance(op.right, (And, Or)) else second
         return f"{left} {'&' if isinstance(op, And) else '|'} {right}"
 

@@ -266,6 +266,13 @@ class _SubsetFolds:
 # public operations
 
 
+def _check_table_limit(table_limit) -> None:
+    if table_limit is None:
+        return
+    if not isinstance(table_limit, int) or isinstance(table_limit, bool) or table_limit < 0:
+        raise InvalidQueryError(f"table_limit must be None or a non-negative integer, got {reprlib.repr(table_limit)}")
+
+
 def strong_map_independence(
     net: Network,
     partition: QueryPartition,
@@ -288,6 +295,7 @@ def strong_map_independence(
     Pr(e) too, but summed in another order its last digits differ, and
     ``mass`` is reported to 17 significant digits.
     """
+    _check_table_limit(table_limit)
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
@@ -343,6 +351,7 @@ def weak_map_independence(
     ``short_circuit`` is off, ends the loop.  Table rows follow the focus
     order, up to ``table_limit`` in all.
     """
+    _check_table_limit(table_limit)
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
@@ -393,6 +402,8 @@ def maximum_map_independence(
     one table Pr(H, pool, e) while that has at most ``_JOINT_CELLS`` cells
     and fits the guard, else its own elimination.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidQueryError("k must be an integer")
     hypothesis, evidence, pool = resolve_partition(net, partition)
     if not pool:
         raise InvalidQueryError("candidate pool must be non-empty")
@@ -457,12 +468,15 @@ def threshold_map_independence(
     and when p >= f if f > s.  Which of the two holds is decided once, by
     one exact comparison of f with s.
     """
+    _check_table_limit(table_limit)
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
     if set(h_star) != set(hypothesis):
         raise InvalidQueryError("h_star must assign exactly the hypothesis variables")
     check_assignment(net, h_star)
+    if not isinstance(s, (int, float, Fraction)) or isinstance(s, bool):
+        raise InvalidQueryError(f"threshold s must be a number, got {reprlib.repr(s)}")
     if not 0 <= s < 1:
         # str(s) cut in the middle when long: reprlib quotes it, and str(s) holds no quote.
         raise InvalidQueryError(f"threshold s must be in [0, 1), got {reprlib.repr(str(s))[1:-1]}")
@@ -514,7 +528,6 @@ def relevance_partition(
     evidence: Mapping[str, str],
     hypothesis,
     candidates,
-    mode: str = "weak",
     *,
     tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
@@ -522,11 +535,8 @@ def relevance_partition(
 ) -> RelevancePartition:
     """Split candidate variables by whether observing them could move the MAP.
 
-    Each candidate is tested on its own; for singletons the weak and
-    strong-singleton readings coincide, so ``mode`` only names the check.
+    Each candidate is tested on its own, as the weak decider tests it.
     """
-    if mode not in ("weak", "strong-singleton"):
-        raise InvalidQueryError(f"unknown relevance mode {reprlib.repr(mode)}")
     hyp, evidence, cands = resolve_partition(net, QueryPartition(evidence, hypothesis, candidates))
     if not cands:
         return RelevancePartition(relevant=(), irrelevant=(), justification={})

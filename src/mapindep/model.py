@@ -16,7 +16,6 @@ Ordering conventions used throughout the package:
 
 from __future__ import annotations
 
-import heapq
 import reprlib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -127,14 +126,6 @@ class Network:
             return self._var_index[name]
         except KeyError:
             raise self._unknown_variable(name) from None
-
-
-@dataclass(frozen=True)
-class NetworkStats:
-    variable_count: int
-    max_cardinality: int
-    treewidth_upper_bound: int
-    edge_count: int
 
 
 @dataclass(frozen=True)
@@ -304,17 +295,13 @@ def _cycle_text(cycle: list[str]) -> str:
     return " -> ".join(map(cut, shown))
 
 
-def _parent_lists(net: Network) -> dict[str, list[str]]:
-    # Each declared child's resolvable parents; the last CPT of a child counts.
-    index = net._var_index
-    return {c.child: [p for p in c.parents if p in index] for c in net.cpts if c.child in index}
-
-
 def _find_cycle(net: Network) -> list[str] | None:
     # One cycle as a closed walk along parent edges, or None.  Each child is
-    # given its parents as successors, so graphlib's search walks the parent
-    # lists from the children in CPT order.
-    parents = _parent_lists(net)
+    # given its resolvable parents as successors (the last CPT of a child
+    # counts), so graphlib's search walks the parent lists from the children
+    # in CPT order.
+    index = net._var_index
+    parents = {c.child: [p for p in c.parents if p in index] for c in net.cpts if c.child in index}
     sorter = TopologicalSorter()
     for child in parents:
         sorter.add(child)
@@ -371,30 +358,6 @@ def canonical_vars(net: Network, vars: Iterable[str]) -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # graph queries
-
-
-def topological_order(net: Network) -> list[str]:
-    """Variables ordered so every parent precedes its children.
-
-    Each distinct name is placed once, and the last CPT of a child gives its
-    parents.  Deterministic: among simultaneously ready variables the one
-    with the lowest ``declaration_index`` wins.  Raises NetworkValidationError
-    on a cycle.
-    """
-    sorter = TopologicalSorter({name: () for name in net.names} | _parent_lists(net))
-    try:
-        sorter.prepare()
-    except CycleError:
-        raise NetworkValidationError([Violation("cycle", "graph", _cycle_text(_find_cycle(net)))]) from None
-    ready: list[int] = []
-    order: list[str] = []
-    while sorter.is_active():
-        for name in sorter.get_ready():
-            heapq.heappush(ready, net.declaration_index(name))
-        name = net.variables[heapq.heappop(ready)].name
-        order.append(name)
-        sorter.done(name)
-    return order
 
 
 def ancestors(net: Network, names: Iterable[str]) -> set[str]:
@@ -466,7 +429,7 @@ def enumerate_assignments(net: Network, vars: Iterable[str]) -> Iterator[Assignm
 
 
 # ---------------------------------------------------------------------------
-# structural statistics
+# elimination order
 
 
 def min_fill_order(adjacency: Mapping[str, set[str]], priority: Mapping[str, int]) -> tuple[list[str], int]:
@@ -480,6 +443,7 @@ def min_fill_order(adjacency: Mapping[str, set[str]], priority: Mapping[str, int
     ``adjacency`` order.  The nodes are numbered in that order and their
     neighbor sets turned into bitmasks for ``_min_fill``, which counts fill
     with ``int.bit_count`` and updates keys in place after a fill-0 step.
+    Inference orders through ``_min_fill``; only ``perfbench``'s tracer still binds this name.
     """
     nodes = sorted(adjacency, key=priority.__getitem__)
     bit = {v: 1 << i for i, v in enumerate(nodes)}
@@ -552,15 +516,15 @@ def _min_fill(nodes: Sequence[T], neighbours: Sequence[int]) -> tuple[list[T], i
     return order, width
 
 
-def moral_adjacency(net: Network, names: Iterable[str] | None = None) -> dict[str, set[str]]:
-    """Undirected moral graph over ``names``, every variable by default.
+def moral_adjacency(net: Network, names: Iterable[str]) -> dict[str, set[str]]:
+    """Undirected moral graph over ``names``.
 
     Each child's family, the child and its parents, forms a clique; the last
     CPT of a child gives its parents, as ``Network.parents`` does.  ``names``
     must be ancestral (hold every parent of each of its members), so that
     every family met lies inside it.
     """
-    adj: dict[str, set[str]] = {n: set() for n in (net.names if names is None else names)}
+    adj: dict[str, set[str]] = {n: set() for n in names}
     for c in net._cpt_by_child.values():
         if c.child in adj:
             family = (c.child, *c.parents)
@@ -569,18 +533,6 @@ def moral_adjacency(net: Network, names: Iterable[str] | None = None) -> dict[st
     for a, ns in adj.items():
         ns.discard(a)
     return adj
-
-
-def network_stats(net: Network) -> NetworkStats:
-    """Size statistics; the treewidth figure is a min-fill upper bound, not exact."""
-    priority = {v.name: i for i, v in enumerate(net.variables)}
-    _, width = min_fill_order(moral_adjacency(net), priority)
-    return NetworkStats(
-        variable_count=len(net.variables),
-        max_cardinality=max((v.cardinality for v in net.variables), default=0),
-        treewidth_upper_bound=width,
-        edge_count=sum(len(c.parents) for c in net.cpts),
-    )
 
 
 def resolve_partition(net: Network, partition: QueryPartition) -> tuple[tuple[str, ...], Assignment, tuple[str, ...]]:

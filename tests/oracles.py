@@ -233,24 +233,6 @@ def peel_acyclic(net: Network) -> bool:
             ps -= roots
 
 
-def reference_topological_order(net: Network) -> list[str] | None:
-    """Place, one at a time, the lowest-declared variable whose parents are all placed.
-
-    A name declared twice ranks at its last declaration.  None when some
-    variable can never be placed, that is on a cycle.
-    """
-    parents = last_cpt_parents(net)
-    rank = {name: i for i, name in enumerate(net.names)}
-    order: list[str] = []
-    while len(order) < len(parents):
-        placed = set(order)
-        ready = [name for name in parents if name not in placed and parents[name] <= placed]
-        if not ready:
-            return None
-        order.append(min(ready, key=rank.__getitem__))
-    return order
-
-
 def brute_d_separated(net: Network, x: set[str], y: set[str], z: set[str]) -> bool:
     """Whether no simple undirected path from a node of ``x`` to one of ``y`` is active given ``z``.
 

@@ -181,15 +181,22 @@ def test_long_flat_chain_formats_evaluates_and_counts(op, models):
     # The left-deep tree of a 1,500-term chain is 1,499 levels deep; no walk recurses.
     names = [f"x{i % 20}" for i in range(1500)]
     ast = parse_formula(f" {op} ".join(names))
-    expected = names[0]
-    for i, name in enumerate(names[1:]):
-        expected = f"{expected} {op} {name}" if i == 0 else f"({expected}) {op} {name}"
-    assert format_formula(ast) == expected
+    assert format_formula(ast) == f" {op} ".join(names)
     assert formula_variables(ast) == tuple(f"x{i}" for i in range(20))
     assert count_models(ast) == models
     every = dict.fromkeys(names, op == "&")
     assert evaluate(ast, every) is (op == "&")
     assert evaluate(ast, every | {"x7": op == "|"}) is (op == "|")
+
+
+def test_format_of_a_long_chain_parses_back():
+    # A left operand of the same connective goes bare, so the chain's '(' do not nest past the bound.
+    ast = parse_formula(" | ".join(["x0"] * 300))
+    text = format_formula(ast)
+    assert "(" not in text
+    assert format_formula(parse_formula(text)) == text
+    # Right operands and operands of the other connective keep their parentheses.
+    assert format_formula(parse_formula("a | (b | c) | d & e")) == "a | (b | c) | (d & e)"
 
 
 def test_ast_equality_and_hash_hold_to_the_documented_depth():

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -383,6 +384,31 @@ def test_threshold_comparison_is_exact_for_every_s():
                 assert report.counterexample == expected
 
 
+def test_bad_query_values_are_invalid_queries(fig1b):
+    # A negative or fractional table_limit would slice the table, and a k or s
+    # of the wrong type would end in TypeError (a bool k would count as 0 or 1).
+    p = part({"C": "T"}, ("A",), ("B", "E"))
+
+    def threshold(s=0.1, **kwargs):
+        return threshold_map_independence(fig1b, {"A": "T"}, p, s, **kwargs)
+
+    for decide in (partial(strong_map_independence, fig1b, p), partial(weak_map_independence, fig1b, p), threshold):
+        for limit in (-1, 1.5, True):
+            with pytest.raises(InvalidQueryError, match="^table_limit must be None or a non-negative integer"):
+                decide(table_limit=limit)
+        rows = decide(table_limit=4).per_assignment
+        assert len(rows) == 4
+        assert decide(table_limit=1).per_assignment == rows[:1]
+        assert decide(table_limit=0).per_assignment == ()
+    for k in (1.0, "1", True):
+        with pytest.raises(InvalidQueryError, match="^k must be an integer$"):
+            maximum_map_independence(fig1b, p, k)
+    for s in ("0.1", None, True):
+        with pytest.raises(InvalidQueryError, match="^threshold s must be a number"):
+            threshold(s)
+    assert threshold(Fraction(1, 10)) == threshold(0.1)
+
+
 # ---------------------------------------------------------------------------
 # quantification
 
@@ -498,14 +524,6 @@ def test_relevance_empty_candidates(fig1b):
     parts = relevance_partition(fig1b, {"C": "T"}, ("A",), ())
     assert parts.relevant == ()
     assert parts.irrelevant == ()
-
-
-def test_relevance_modes_coincide(fig1a):
-    weak = relevance_partition(fig1a, {"C": "T"}, ("A",), ("B", "D"), mode="weak")
-    strong = relevance_partition(fig1a, {"C": "T"}, ("A",), ("B", "D"), mode="strong-singleton")
-    assert weak == strong
-    with pytest.raises(InvalidQueryError):
-        relevance_partition(fig1a, {"C": "T"}, ("A",), ("B",), mode="pairwise")
 
 
 # ---------------------------------------------------------------------------

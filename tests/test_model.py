@@ -1,12 +1,12 @@
 import functools
 import operator
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mapindep
 from mapindep import model
 from mapindep.errors import InvalidQueryError, NetworkValidationError
 from mapindep.inference import joint_table, map_solve
@@ -17,7 +17,6 @@ from mapindep.model import (
     QueryPartition,
     Variable,
     Violation,
-    _cycle_text,
     _find_cycle,
     _holds_everywhere,
     _locate_violations,
@@ -29,10 +28,8 @@ from mapindep.model import (
     enumerate_assignments,
     min_fill_order,
     moral_adjacency,
-    network_stats,
     ordered_vars,
     resolve_partition,
-    topological_order,
     validate_network,
 )
 from netgen import corrupted_network, random_network
@@ -43,7 +40,6 @@ from oracles import (
     compensated_sum,
     last_cpt_parents,
     peel_acyclic,
-    reference_topological_order,
 )
 
 TF = ("T", "F")
@@ -276,48 +272,6 @@ def test_valid_iff_total_probability_one():
     assert abs(total - 1.0) > 1e-6
 
 
-# ---------------------------------------------------------------------------
-# topological order
-
-
-def test_topological_chain():
-    assert topological_order(binary_chain(3)) == ["V0", "V1", "V2"]
-
-
-def test_topological_fig1b(fig1b):
-    assert topological_order(fig1b) == ["B", "C", "E", "A"]
-
-
-def test_topological_single_node():
-    net = Network("one", (Variable("A", TF),), (Cpt("A", (), ((1.0, 0.0),)),))
-    assert topological_order(net) == ["A"]
-
-
-def test_topological_cycle_raises():
-    net = Network(
-        "loop",
-        (Variable("A", TF), Variable("B", TF)),
-        (
-            Cpt("A", ("B",), ((0.5, 0.5), (0.5, 0.5))),
-            Cpt("B", ("A",), ((0.5, 0.5), (0.5, 0.5))),
-        ),
-    )
-    with pytest.raises(NetworkValidationError):
-        topological_order(net)
-
-
-def test_topological_respects_edges_on_random_dags():
-    rng = random.Random(11)
-    for _ in range(30):
-        net = random_network(rng, rng.randint(1, 12))
-        order = topological_order(net)
-        assert sorted(order) == sorted(net.names)
-        position = {n: i for i, n in enumerate(order)}
-        for c in net.cpts:
-            for p in c.parents:
-                assert position[p] < position[c.child]
-
-
 def _structure(decl, cpts):
     # Only the graph matters here: every CPT gets a uniform row per parent assignment.
     return Network(
@@ -347,23 +301,6 @@ CYCLE_TEXTS = [
 def test_cycle_text_is_pinned(decl, cpts, text):
     net = _structure(decl, cpts)
     assert Violation("cycle", "graph", text) in validate_network(net)
-    with pytest.raises(NetworkValidationError, match=f"^invalid network: cycle at graph: {re.escape(text)}$"):
-        topological_order(net)
-
-
-def test_topological_order_places_a_name_declared_twice_once():
-    # Acyclic: V1 is declared twice and ranks at its last declaration.
-    net = _structure(["V0", "V1", "V2", "V1"], [("V0", ()), ("V1", ()), ("V2", ("V0",))])
-    assert topological_order(net) == ["V0", "V2", "V1"]
-
-
-def test_topological_order_follows_the_last_cpt_of_a_child():
-    # C's CPT is repeated: placing A must not release C before B.
-    net = _structure("CAB", [("A", ()), ("B", ()), ("C", ("A", "B")), ("C", ("A", "B"))])
-    assert topological_order(net) == ["A", "B", "C"]
-    # The last CPT counts: B's second CPT drops its parent.
-    net = _structure("CBA", [("A", ("B",)), ("B", ("C",)), ("C", ()), ("B", ())])
-    assert topological_order(net) == ["C", "B", "A"]
 
 
 def _graph_cases():
@@ -388,18 +325,12 @@ def test_graph_queries_agree_with_the_oracles():
     for net in _graph_cases():
         cycle = _find_cycle(net)
         assert (cycle is None) == peel_acyclic(net)
-        reference = reference_topological_order(net)
         if cycle is None:
-            assert topological_order(net) == reference
             continue
         cyclic += 1
         parents = last_cpt_parents(net)
         assert len(cycle) >= 2 and cycle[0] == cycle[-1]
         assert all(parent in parents[child] for child, parent in zip(cycle, cycle[1:]))
-        assert reference is None
-        with pytest.raises(NetworkValidationError) as raised:
-            topological_order(net)
-        assert raised.value.violations == [Violation("cycle", "graph", _cycle_text(cycle))]
     assert cyclic > 200
 
 
@@ -499,13 +430,13 @@ def test_graph_queries_read_the_last_cpt_of_a_child():
     # B's CPTs list A, then no parent: the last one counts, so A and B share no edge.
     net = _structure("AB", [("A", ()), ("B", ("A",)), ("B", ())])
     assert net.parents("B") == ()
-    assert moral_adjacency(net) == {"A": set(), "B": set()}
+    assert moral_adjacency(net, net.names) == {"A": set(), "B": set()}
     assert d_separated(net, {"A"}, {"B"}, set()) is True
 
 
 def test_moral_adjacency_over_an_ancestral_set():
     net = collider()  # C1 -> M <- C2
-    assert moral_adjacency(net) == {"C1": {"C2", "M"}, "C2": {"C1", "M"}, "M": {"C1", "C2"}}
+    assert moral_adjacency(net, net.names) == {"C1": {"C2", "M"}, "C2": {"C1", "M"}, "M": {"C1", "C2"}}
     assert moral_adjacency(net, {"C1", "C2"}) == {"C1": set(), "C2": set()}
 
 
@@ -615,32 +546,7 @@ def test_mixed_cardinality_enumeration(fn_ter):
 
 
 # ---------------------------------------------------------------------------
-# stats
-
-
-def test_stats_single_node():
-    net = Network("one", (Variable("A", TF),), (Cpt("A", (), ((1.0, 0.0),)),))
-    stats = network_stats(net)
-    assert stats.variable_count == 1
-    assert stats.max_cardinality == 2
-    assert stats.treewidth_upper_bound == 0
-    assert stats.edge_count == 0
-
-
-def test_stats_fig1b_moralizes_to_a_clique(fig1b):
-    stats = network_stats(fig1b)
-    assert stats.treewidth_upper_bound == 3
-    assert stats.edge_count == 3
-
-
-def test_stats_chain():
-    stats = network_stats(binary_chain(5))
-    assert stats.max_cardinality == 2
-    assert stats.treewidth_upper_bound == 1
-
-
-def test_stats_ternary_cardinality(fn_ter):
-    assert network_stats(fn_ter).max_cardinality == 3
+# min-fill elimination order
 
 
 def random_graph(rng):
@@ -732,9 +638,8 @@ def test_min_fill_core_recounts_every_changed_key_on_dense_graphs():
 def test_stats_width_matches_full_rescan_on_400_nodes():
     net = random_network(random.Random(400), 400, max_parents=2)
     priority = {name: i for i, name in enumerate(net.names)}
-    order, width = min_fill_order(moral_adjacency(net), priority)
-    assert (order, width) == brute_min_fill_order(moral_adjacency(net), priority)
-    assert network_stats(net).treewidth_upper_bound == width
+    adjacency = moral_adjacency(net, net.names)
+    assert min_fill_order(adjacency, priority) == brute_min_fill_order(adjacency, priority)
 
 
 # ---------------------------------------------------------------------------
@@ -759,3 +664,15 @@ def test_resolve_partition_requires_hypothesis(fig1b):
     p = QueryPartition(evidence={}, hypothesis=(), focus=("B",))
     with pytest.raises(InvalidQueryError):
         resolve_partition(fig1b, p)
+
+
+# ---------------------------------------------------------------------------
+# package exports
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from mapindep import *", namespace)
+    assert set(mapindep.__all__) <= namespace.keys()
+    for name in ("topological_order", "network_stats", "NetworkStats"):
+        assert name not in mapindep.__all__ and not hasattr(mapindep, name) and not hasattr(model, name)
