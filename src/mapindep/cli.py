@@ -480,7 +480,7 @@ def _cmd_map(args) -> int:
     hypothesis = _parse_names(args.hypothesis)
     evidence = _parse_evidence(args.evidence)
     t0 = time.perf_counter()
-    result = map_solve(net, hypothesis, evidence, method=args.method)
+    result = map_solve(net, hypothesis, evidence)
     query = {"mode": "map", "hypothesis": hypothesis, "evidence": evidence}
     _write_report(make_report(net, query, _map_result(result), time.perf_counter() - t0), None)
     return EXIT_OK
@@ -619,7 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--hypothesis", required=True, help="comma-separated variable names")
     p.add_argument("--evidence", default="", help="comma-separated VAR=STATE pairs")
-    p.add_argument("--method", choices=("ve", "brute"), default="ve")
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("query", help="run a query document and write a report")

@@ -54,6 +54,7 @@ from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError, brie
 from .inference import (
     DEFAULT_GUARD,
     DEFAULT_TIE_TOL,
+    _check_query_values,
     _column_argmax,
     joint_table,
     marginal,
@@ -296,6 +297,7 @@ def strong_map_independence(
     ``mass`` is reported to 17 significant digits.
     """
     _check_table_limit(table_limit)
+    _check_query_values(guard, tie_tol)
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
@@ -352,6 +354,7 @@ def weak_map_independence(
     order, up to ``table_limit`` in all.
     """
     _check_table_limit(table_limit)
+    _check_query_values(guard, tie_tol)
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
@@ -402,6 +405,7 @@ def maximum_map_independence(
     one table Pr(H, pool, e) while that has at most ``_JOINT_CELLS`` cells
     and fits the guard, else its own elimination.
     """
+    _check_query_values(guard, tie_tol)
     if not isinstance(k, int) or isinstance(k, bool):
         raise InvalidQueryError("k must be an integer")
     hypothesis, evidence, pool = resolve_partition(net, partition)
@@ -469,6 +473,7 @@ def threshold_map_independence(
     one exact comparison of f with s.
     """
     _check_table_limit(table_limit)
+    _check_query_values(guard)
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
@@ -537,6 +542,7 @@ def relevance_partition(
 
     Each candidate is tested on its own, as the weak decider tests it.
     """
+    _check_query_values(guard, tie_tol)
     hyp, evidence, cands = resolve_partition(net, QueryPartition(evidence, hypothesis, candidates))
     if not cands:
         return RelevancePartition(relevant=(), irrelevant=(), justification={})

@@ -9,30 +9,27 @@ since CPT rows sum to 1 (``validate_network`` checks this within
 ``ROW_SUM_TOL``) its CPT sums out to 1 and is dropped before elimination
 (Baker & Boult, UAI 1990).  The remaining variables that are neither
 observed nor kept are summed out along a min-fill order.  A marginal is
-the table over no variables; the MAP solver takes the first maximiser of
-the table over the hypothesis.  A deliberately simple cross-check
-(``method="brute"``) builds the same tables by summing chain-rule products
-over each cell's completions; a full assignment's joint probability is its
-one product.  Both are exact up to floating point and agree within 1e-9 on
-the network sizes this package targets.
+the table over no variables, and a full assignment's joint probability is
+that table with every variable assigned; the MAP solver takes the first
+maximiser of the table over the hypothesis.
 
-Both routes keep their bookkeeping on integer ids resolved once per table:
-every elimination scope is a tuple of per-call variable ids, and the brute
-route resolves state indices and parent positions.  CPT arrays are read in
-one pass and kept with the network.  The arithmetic is plain double
-precision, with no underflow handling: a product below the smallest double
-becomes 0.0, so a Pr(e) that underflows is reported as infeasible evidence.
+Bookkeeping is on integer ids resolved once per table: every elimination
+scope is a tuple of per-call variable ids.  CPT arrays are read in one pass
+and kept with the network.  The arithmetic is plain double precision, with
+no underflow handling: a product below the smallest double becomes 0.0, so
+a Pr(e) that underflows is reported as infeasible evidence.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
+import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, product
+from itertools import chain
 from operator import add
 from typing import Mapping
 
@@ -46,7 +43,6 @@ from .model import (
     ancestors,
     as_assignment,
     assignment_at,
-    assignment_count,
     canonical_vars,
     check_assignment,
     ordered_vars,
@@ -225,81 +221,46 @@ def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[b
     return argmax.tolist(), near.any(axis=0).tolist()
 
 
-def _brute_table(net: Network, keep: tuple[str, ...], partial: Mapping[str, str]) -> list[float]:
-    """Pr(k, partial) for every assignment k to ``keep``, in row-major rank order.
-
-    Each cell sums the chain-rule product over every completion of its
-    assignment, in rank order: CPT entries multiplied in declaration order,
-    stopping at the first 0.0.  The product runs over state indices resolved
-    once: every CPT's parent positions and cardinalities are looked up
-    before the first completion.
-    """
-    keep = ordered_vars(net, keep)
-    rest = tuple(v for v in net.names if v not in partial and v not in keep)
-    cards = net.cardinalities
-    position = {name: i for i, name in enumerate(net.names)}
-    chain = []
-    for i, name in enumerate(net.names):
-        cpt = net.cpt(name)
-        chain.append((i, cpt.rows, [(position[p], cards[p]) for p in cpt.parents]))
-    states = [0] * len(net.names)
-    for var, state in partial.items():
-        states[net.declaration_index(var)] = net.state_index(var, state)
-    keep_at = [position[v] for v in keep]
-    rest_at = [position[v] for v in rest]
-    table = []
-    for k in product(*(range(cards[v]) for v in keep)):
-        for i, state in zip(keep_at, k):
-            states[i] = state
-        total = 0.0
-        for c in product(*(range(cards[v]) for v in rest)):
-            for i, state in zip(rest_at, c):
-                states[i] = state
-            joint = 1.0
-            for i, rows, parents in chain:
-                row = 0
-                for j, card in parents:
-                    row = row * card + states[j]
-                entry = rows[row][states[i]]
-                if entry == 0.0:
-                    joint = 0.0
-                    break
-                joint *= entry
-            total += joint
-        table.append(total)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
 
+def _check_query_values(guard, tie_tol=0.0, q=0.0) -> None:
+    """Refuse a ``guard``, ``tie_tol`` or threshold ``q`` of the wrong type or
+    value before any work: ``guard`` is an int >= 0, ``tie_tol`` a finite
+    number >= 0 and ``q`` any number but NaN, a bool being none of these."""
+    if not isinstance(guard, int) or isinstance(guard, bool) or guard < 0:
+        raise InvalidQueryError(f"guard must be a non-negative integer, got {reprlib.repr(guard)}")
+    if not isinstance(tie_tol, (int, float)) or isinstance(tie_tol, bool) or not 0 <= tie_tol <= sys.float_info.max:
+        raise InvalidQueryError(f"tie_tol must be a finite non-negative number, got {reprlib.repr(tie_tol)}")
+    if not isinstance(q, (int, float, Fraction)) or isinstance(q, bool) or q != q:
+        raise InvalidQueryError(f"threshold q must be a number, got {reprlib.repr(q)}")
+
+
 def joint_probability(net: Network, full: Mapping[str, str]) -> float:
-    """Chain-rule product of CPT entries for a full assignment."""
+    """Chain-rule product of CPT entries for a full assignment: the 0-d table
+    of ``joint_table``, which multiplies them in declaration order from 1.0."""
     if len(full) != len(net.variables):
         missing = [v for v in net.names if v not in full]
         raise InvalidQueryError(f"joint_probability needs a full assignment; missing {reprlib.repr(missing)}")
     check_assignment(net, full)
-    return _brute_table(net, (), full)[0]
+    return float(joint_table(net, (), full))
 
 
-def marginal(
-    net: Network, partial: Mapping[str, str], method: str = "ve", *, guard: int = DEFAULT_GUARD
-) -> float:
+def marginal(net: Network, partial: Mapping[str, str], *, guard: int = DEFAULT_GUARD) -> float:
     """Pr(partial), the probability of a (possibly empty) partial assignment.
 
-    ``guard`` bounds the elimination on either ``method`` as in
-    ``candidate_joints``: work past it raises CapacityError before any product.
+    ``guard`` bounds the elimination as in ``candidate_joints``: work past it
+    raises CapacityError before any product.
     """
     check_assignment(net, partial)
-    return candidate_joints(net, (), partial, method, guard=guard)[0]
+    return candidate_joints(net, (), partial, guard=guard)[0]
 
 
 def posterior(
     net: Network,
     target: Mapping[str, str],
     evidence: Mapping[str, str],
-    method: str = "ve",
     *,
     guard: int = DEFAULT_GUARD,
 ) -> float:
@@ -308,35 +269,24 @@ def posterior(
     target = as_assignment(target)
     if set(target) & set(evidence):
         raise InvalidQueryError("target and evidence must be disjoint")
-    p_e = marginal(net, evidence, method, guard=guard)
+    p_e = marginal(net, evidence, guard=guard)
     if p_e == 0.0:
         raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
-    return marginal(net, {**target, **evidence}, method, guard=guard) / p_e
+    return marginal(net, {**target, **evidence}, guard=guard) / p_e
 
 
 def candidate_joints(
     net: Network,
     hypothesis: tuple[str, ...],
     context: Mapping[str, str],
-    method: str = "ve",
     *,
-    guard: int | None = None,
+    guard: int = DEFAULT_GUARD,
 ) -> list[float]:
-    """Pr(h, context) for every h over ``hypothesis``, in canonical rank order.
-
-    ``guard`` bounds the ``"ve"`` table and its products (see ``joint_table``);
-    on the ``"brute"`` route it bounds the |Omega(V minus context)| chain-rule
-    products summed over all candidates' completions.
-    """
-    if method == "ve":
-        return joint_table(net, hypothesis, context, guard=guard).ravel().tolist()
-    if method != "brute":
-        raise InvalidQueryError(f"unknown inference method {reprlib.repr(method)}")
-    if guard is not None:
-        completions = assignment_count(net, (v for v in net.names if v not in context))
-        if completions > guard:
-            raise CapacityError(f"brute enumeration of {completions} assignments exceeds guard {guard}")
-    return _brute_table(net, hypothesis, context)
+    """Pr(h, context) for every h over ``hypothesis``, row-major in the order
+    given (last variable fastest); ``guard`` bounds the table and its products
+    (see ``joint_table``)."""
+    _check_query_values(guard)
+    return joint_table(net, hypothesis, context, guard=guard).ravel().tolist()
 
 
 def map_solve(
@@ -345,18 +295,18 @@ def map_solve(
     evidence: Mapping[str, str] | None = None,
     conditioning: Mapping[str, str] | None = None,
     *,
-    method: str = "ve",
     tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
 ) -> MapResult:
     """Most probable joint value assignment to ``hypothesis`` given the context.
 
     The candidates' joints Pr(h, context) come from one table over the
-    hypothesis on either ``method``, in canonical row-major order; the first
-    maximizer wins, and a second candidate within ``tie_tol`` of the maximum
-    raises the ``tie`` flag.  The context is the union of evidence and any
-    extra conditioning assignment; its probability is the table's total.
+    hypothesis, in canonical row-major order; the first maximizer wins, and
+    a second candidate within ``tie_tol`` of the maximum raises the ``tie``
+    flag.  The context is the union of evidence and any extra conditioning
+    assignment; its probability is the table's total.
     """
+    _check_query_values(guard, tie_tol)
     evidence = as_assignment(evidence or {})
     conditioning = as_assignment(conditioning or {})
     hyp = canonical_vars(net, hypothesis)
@@ -370,7 +320,7 @@ def map_solve(
     if set(hyp) & set(context):
         raise InvalidQueryError("hypothesis overlaps the conditioning context")
 
-    joints = candidate_joints(net, hyp, context, method, guard=guard)
+    joints = candidate_joints(net, hyp, context, guard=guard)
     p_context = reduce(add, joints)  # left to right: the builtin sum is compensated from Python 3.12
     if p_context == 0.0:
         raise InfeasibleQueryError(f"conditioning context {brief(context)} has probability zero")
@@ -392,11 +342,11 @@ def map_threshold(
     h_star: Mapping[str, str],
     evidence: Mapping[str, str] | None = None,
     q: float | Fraction = 0.0,
-    method: str = "ve",
     *,
     guard: int = DEFAULT_GUARD,
 ) -> bool:
     """Whether Pr(h_star, evidence) strictly exceeds ``q``; each marginal is guarded by ``guard``."""
+    _check_query_values(guard, q=q)
     evidence = as_assignment(evidence or {})
     if not h_star:
         raise InvalidQueryError("h_star must be non-empty")
@@ -404,6 +354,6 @@ def map_threshold(
         raise InvalidQueryError("h_star and evidence must be disjoint")
     check_assignment(net, h_star)
     check_assignment(net, evidence)
-    if evidence and marginal(net, evidence, method, guard=guard) == 0.0:
+    if evidence and marginal(net, evidence, guard=guard) == 0.0:
         raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
-    return marginal(net, {**h_star, **evidence}, method, guard=guard) > q
+    return marginal(net, {**h_star, **evidence}, guard=guard) > q

@@ -245,12 +245,6 @@ def test_map_subcommand(capsys):
     assert abs(report["result"]["posterior"] - 0.644) < 1e-9
 
 
-def test_map_brute_method(capsys):
-    code = run(["map", "--network", FIG1B, "--hypothesis", "A", "--evidence", "C=T", "--method", "brute"])
-    assert code == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["result"]["assignment"] == {"A": "F"}
-
-
 def test_map_unknown_state_is_usage_error(capsys):
     assert run(["map", "--network", FIG1B, "--hypothesis", "A", "--evidence", "C=maybe"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
@@ -692,9 +686,9 @@ def test_every_public_function_guards_its_eliminations(fig1b, monkeypatch):
     corner, root = {"g4_4": "s0"}, {"g0_0": "s1"}
     partition = QueryPartition(root, ("g4_4",), ("g4_3",))
     calls = [
-        *(functools.partial(marginal, net, corner, method) for method in ("ve", "brute")),
-        *(functools.partial(posterior, net, corner, root, method) for method in ("ve", "brute")),
-        *(functools.partial(map_threshold, net, corner, root, 0.1, method) for method in ("ve", "brute")),
+        functools.partial(marginal, net, corner),
+        functools.partial(posterior, net, corner, root),
+        functools.partial(map_threshold, net, corner, root, 0.1),
         functools.partial(map_solve, net, ["g4_4"], root),
         functools.partial(strong_map_independence, net, partition),
         functools.partial(weak_map_independence, net, partition),

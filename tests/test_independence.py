@@ -407,6 +407,38 @@ def test_bad_query_values_are_invalid_queries(fig1b):
         with pytest.raises(InvalidQueryError, match="^threshold s must be a number"):
             threshold(s)
     assert threshold(Fraction(1, 10)) == threshold(0.1)
+    # A guard or tie_tol of the wrong type ended in TypeError or was read as a
+    # number, a negative or NaN tie_tol flagged no tie, and a NaN q answered False.
+    q_call = partial(inference.map_threshold, fig1b, {"A": "T"}, {"C": "T"})
+    with_tie_tol = [
+        partial(strong_map_independence, fig1b, p),
+        partial(weak_map_independence, fig1b, p),
+        partial(maximum_map_independence, fig1b, p, 1),
+        partial(quantify, fig1b, p),
+        partial(relevance_partition, fig1b, {"C": "T"}, ("A",), ("B", "E")),
+        partial(map_solve, fig1b, ("A",), {"C": "T"}),
+    ]
+    guarded = [
+        *with_tie_tol,
+        threshold,
+        partial(q_call, 0.1),
+        partial(inference.marginal, fig1b, {"C": "T"}),
+        partial(inference.posterior, fig1b, {"A": "T"}, {"C": "T"}),
+        partial(inference.candidate_joints, fig1b, ("A",), {"C": "T"}),
+    ]
+    for call in guarded:
+        for guard in (None, "x", True, 1.5, -1):
+            with pytest.raises(InvalidQueryError, match="^guard must be a non-negative integer"):
+                call(guard=guard)
+    for call in with_tie_tol:
+        for tie_tol in ("x", None, True, -1e-9, math.nan, math.inf):
+            with pytest.raises(InvalidQueryError, match="^tie_tol must be a finite non-negative number"):
+                call(tie_tol=tie_tol)
+    for q in ("0.1", None, True, math.nan):
+        with pytest.raises(InvalidQueryError, match="^threshold q must be a number"):
+            q_call(q)
+    assert map_solve(fig1b, ("A",), {"C": "T"}, tie_tol=0) == map_solve(fig1b, ("A",), {"C": "T"}, tie_tol=0.0)
+    assert q_call(Fraction(1, 10)) is q_call(0.1) is q_call(0) is True
 
 
 # ---------------------------------------------------------------------------

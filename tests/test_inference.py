@@ -29,7 +29,7 @@ from mapindep.model import (
     min_fill_order,
 )
 from netgen import random_assignment, random_binary_network, random_network
-from oracles import _first_argmax, brute_marginal, brute_min_fill_order, compensated_sum
+from oracles import _first_argmax, brute_marginal, brute_min_fill_order, chain_product, compensated_sum
 
 TF = ("T", "F")
 
@@ -72,7 +72,7 @@ def test_joint_is_the_exact_product_far_below_1e_300():
         tuple(Cpt(f"X{i}", (), ((0.5, 0.5),)) for i in range(n)),
     )
     full = {f"X{i}": "T" for i in range(n)}
-    assert joint_probability(net, full) == marginal(net, full, "brute") == marginal(net, full) == 2.0 ** -n
+    assert joint_probability(net, full) == marginal(net, full) == 2.0 ** -n
 
 
 def test_joint_rejects_partial(fig1b):
@@ -81,44 +81,35 @@ def test_joint_rejects_partial(fig1b):
 
 
 def test_joint_matches_enumeration_on_random_nets():
+    # joint_table multiplies the CPT entries in declaration order from 1.0,
+    # as the chain rule does, so the doubles are equal, not merely close.
+    # Compiled formulas put 0/1 entries in the products.
     rng = random.Random(3)
-    for _ in range(20):
-        net = random_binary_network(rng, rng.randint(1, 8))
+    for i in range(60):
+        if i < 20:
+            net = random_binary_network(rng, rng.randint(1, 8))
+        elif i < 40:
+            net = random_network(rng, rng.randint(1, 8), max_states=3)
+        else:
+            net = compile_network(formula_over(rng, [f"x{j}" for j in range(rng.randint(2, 4))], 2)).network
         full = random_assignment(rng, net, list(net.names))
-        expected = 1.0
-        for v in net.names:
-            cpt = net.cpt(v)
-            row = 0
-            for p in cpt.parents:
-                row = row * 2 + net.state_index(p, full[p])
-            expected *= cpt.rows[row][net.state_index(v, full[v])]
-        assert joint_probability(net, full) == pytest.approx(expected, abs=1e-15)
+        assert joint_probability(net, full) == chain_product(net, full)
 
 
 # ---------------------------------------------------------------------------
 # marginals
 
 
-@pytest.mark.parametrize("method", ["ve", "brute"])
-def test_marginal_fig1b(fig1b, method):
-    assert marginal(fig1b, {"A": "T", "C": "T"}, method) == pytest.approx(0.178, abs=1e-9)
+def test_marginal_fig1b(fig1b):
+    assert marginal(fig1b, {"A": "T", "C": "T"}) == pytest.approx(0.178, abs=1e-9)
 
 
-@pytest.mark.parametrize("method", ["ve", "brute"])
-def test_marginal_fig1a(fig1a, method):
-    assert marginal(fig1a, {"A": "T", "C": "T"}, method) == pytest.approx(0.24, abs=1e-9)
+def test_marginal_fig1a(fig1a):
+    assert marginal(fig1a, {"A": "T", "C": "T"}) == pytest.approx(0.24, abs=1e-9)
 
 
-@pytest.mark.parametrize("method", ["ve", "brute"])
-def test_marginal_empty_is_total_probability(fig1b, method):
-    assert marginal(fig1b, {}, method) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_marginal_unknown_method(fig1b):
-    with pytest.raises(InvalidQueryError, match="unknown inference method 'guess'"):
-        marginal(fig1b, {}, "guess")
-    with pytest.raises(InvalidQueryError, match="unknown inference method 'guess'"):
-        map_solve(fig1b, ("A",), {"C": "T"}, method="guess")
+def test_marginal_empty_is_total_probability(fig1b):
+    assert marginal(fig1b, {}) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ve_agrees_with_brute_on_random_networks():
@@ -127,63 +118,7 @@ def test_ve_agrees_with_brute_on_random_networks():
         net = random_binary_network(rng, rng.randint(2, 12))
         k = rng.randint(0, len(net.names))
         partial = random_assignment(rng, net, list(net.names)[:k])
-        assert marginal(net, partial, "ve") == pytest.approx(
-            marginal(net, partial, "brute"), abs=1e-9
-        )
-
-
-def test_brute_route_matches_independent_oracle_exactly():
-    # Both sum the same chain-rule products over the completions of the
-    # assignment in the same rank order, so their doubles are equal, not
-    # merely close.
-    rng = random.Random(1401)
-    for _ in range(120):
-        net = random_network(rng, rng.randint(3, 7), max_states=3)
-        names = list(net.names)
-        rng.shuffle(names)
-        n_hyp = rng.randint(1, 2)
-        h = tuple(sorted(names[:n_hyp], key=net.declaration_index))
-        evidence = random_assignment(rng, net, names[n_hyp:n_hyp + rng.randint(0, 2)])
-        assert marginal(net, evidence, "brute") == brute_marginal(net, evidence)
-        joints = [brute_marginal(net, {**evidence, **cell}) for cell in enumerate_assignments(net, h)]
-        if sum(joints) == 0.0:
-            continue
-        result = map_solve(net, h, evidence, method="brute")
-        best = _first_argmax(joints)
-        runner_up = max(p for i, p in enumerate(joints) if i != best)
-        assert result.assignment == assignment_at(net, h, best)
-        assert result.joint_probability == joints[best]
-        assert result.posterior == joints[best] / sum(joints)
-        assert result.runner_up_gap == joints[best] - runner_up
-
-
-def test_brute_table_sums_joint_probability_exactly():
-    # The brute route resolves every state index once, yet each cell must
-    # still be the sum of joint_probability over its completions in rank
-    # order, to the bit.  joint_probability is the brute table of a full
-    # assignment, so that sum is a consistency check; brute_marginal, which
-    # shares no code with the package, is the independent reference.
-    # Compiled formulas put 0/1 entries in the products.
-    rng = random.Random(1811)
-    for i in range(60):
-        if i % 2:
-            net = random_network(rng, rng.randint(3, 8), max_states=3)
-        else:
-            net = compile_network(formula_over(rng, [f"x{j}" for j in range(rng.randint(2, 4))], 2)).network
-        names = list(net.names)
-        rng.shuffle(names)
-        keep = tuple(names[:rng.randint(0, 2)])
-        evidence = random_assignment(rng, net, names[len(keep):len(keep) + rng.randint(0, 2)])
-        rest = [v for v in net.names if v not in keep and v not in evidence]
-        expected = []
-        for cell in enumerate_assignments(net, keep):
-            total = 0.0
-            for completion in enumerate_assignments(net, rest):
-                total += joint_probability(net, {**evidence, **cell, **completion})
-            expected.append(total)
-        table = inference._brute_table(net, keep, evidence)
-        assert [p.hex() for p in table] == [p.hex() for p in expected]
-        assert table == [brute_marginal(net, {**evidence, **cell}) for cell in enumerate_assignments(net, keep)]
+        assert marginal(net, partial) == pytest.approx(brute_marginal(net, partial), abs=1e-9)
 
 
 def test_ve_agrees_with_independent_oracle():
@@ -465,13 +400,11 @@ def test_joint_table_guard_checked_before_any_product(monkeypatch):
     assert np.array_equal(joint_table(net, ("H",), observed, guard=8), unguarded)
 
 
-def test_map_guard_bounds_brute_enumeration(fig1b):
-    # With C observed, the brute route sums 8 chain-rule products, one per
-    # assignment to A, B and E; the elimination forms an 8-entry product.
-    for method in ("ve", "brute"):
-        with pytest.raises(CapacityError):
-            map_solve(fig1b, ("A",), {"C": "T"}, method=method, guard=7)
-        assert map_solve(fig1b, ("A",), {"C": "T"}, method=method, guard=8).assignment == {"A": "F"}
+def test_map_guard_bounds_the_elimination(fig1b):
+    # With C observed, the elimination forms an 8-entry product.
+    with pytest.raises(CapacityError):
+        map_solve(fig1b, ("A",), {"C": "T"}, guard=7)
+    assert map_solve(fig1b, ("A",), {"C": "T"}, guard=8).assignment == {"A": "F"}
 
 
 def test_map_fn_ter_stable_under_conditioning(fn_ter):
@@ -504,18 +437,17 @@ def test_map_builds_one_table(fig1b, monkeypatch):
     assert built == [("A", "B")]
 
 
-@pytest.mark.parametrize("method", ["ve", "brute"])
-def test_map_posterior_does_not_depend_on_the_builtin_sum(monkeypatch, method):
+def test_map_posterior_does_not_depend_on_the_builtin_sum(monkeypatch):
     # Seed 35's nine joints total differently under a compensated sum, enough
     # to move the posterior; the report must keep the left-to-right total.
     rng = random.Random(35)
     net = random_network(rng, 6, max_states=3)
     evidence = random_assignment(rng, net, ["V0"])
-    joints = candidate_joints(net, ("V4", "V5"), evidence, method)
+    joints = candidate_joints(net, ("V4", "V5"), evidence)
     best, total = max(joints), functools.reduce(operator.add, joints)
     assert best / compensated_sum(joints) != best / total
     monkeypatch.setattr(inference, "sum", compensated_sum, raising=False)
-    result = map_solve(net, ("V4", "V5"), evidence, method=method)
+    result = map_solve(net, ("V4", "V5"), evidence)
     assert result.joint_probability == best
     assert result.posterior == best / total
 
