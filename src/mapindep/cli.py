@@ -42,11 +42,12 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from . import __version__
 from .compiler import build_amajsat_instance, compile_network, parse_formula
 from .errors import (
+    DEFAULT_GUARD,
     CapacityError,
     DocumentError,
     InfeasibleQueryError,
@@ -55,15 +56,6 @@ from .errors import (
     NetworkValidationError,
     brief,
 )
-from .independence import (
-    IndependenceReport,
-    maximum_map_independence,
-    relevance_partition,
-    strong_map_independence,
-    threshold_map_independence,
-    weak_map_independence,
-)
-from .inference import DEFAULT_GUARD, MapResult, candidate_joints, map_solve
 from .model import (
     Cpt,
     Network,
@@ -74,6 +66,12 @@ from .model import (
     resolve_partition,
     validate_network,
 )
+
+# The engine, and numpy with it, is imported only by the commands that
+# eliminate (map, query and bench), so validate and compile start without it.
+if TYPE_CHECKING:
+    from .independence import IndependenceReport
+    from .inference import MapResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -401,6 +399,8 @@ def bench(
     spreads over every row instead of skewing one.  Rows past the
     enumeration guard are dropped and noted.
     """
+    from .inference import candidate_joints
+
     taken = set(hypothesis) | set(evidence)
     intermediates = [v for v in net.names if v not in taken]
     if not 1 <= r_max <= len(intermediates):
@@ -476,6 +476,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from .inference import map_solve
+
     net = load_network(args.network)
     hypothesis = _parse_names(args.hypothesis)
     evidence = _parse_evidence(args.evidence)
@@ -487,6 +489,15 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .independence import (
+        maximum_map_independence,
+        relevance_partition,
+        strong_map_independence,
+        threshold_map_independence,
+        weak_map_independence,
+    )
+    from .inference import map_solve
+
     net = load_network(args.network)
     query = load_query(args.query)
     mode = query["mode"]

@@ -42,6 +42,11 @@ class CapacityError(MapIndepError):
     """An enumeration exceeded its configured guard."""
 
 
+# The guard of every elimination whose caller sets none: the most entries
+# its tables and products may hold before CapacityError is raised.
+DEFAULT_GUARD = 1 << 20
+
+
 class FormulaSyntaxError(MapIndepError):
     """A propositional formula failed to parse; ``offset`` is the byte position."""
 

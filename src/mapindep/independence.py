@@ -48,11 +48,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-import numpy as np
-
-from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError, brief
+from .errors import DEFAULT_GUARD, CapacityError, InfeasibleQueryError, InvalidQueryError, brief
 from .inference import (
-    DEFAULT_GUARD,
     DEFAULT_TIE_TOL,
     _check_query_values,
     _column_argmax,

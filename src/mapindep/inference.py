@@ -35,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, InfeasibleQueryError, InvalidQueryError, brief
+from .errors import DEFAULT_GUARD, CapacityError, InfeasibleQueryError, InvalidQueryError, brief
 from .model import (
     _min_fill,
     Assignment,
@@ -49,7 +49,6 @@ from .model import (
 )
 
 DEFAULT_TIE_TOL = 1e-9
-DEFAULT_GUARD = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -674,7 +674,7 @@ def test_bench_guards_every_elimination(fig1b, monkeypatch):
         guards.append(guard)
         return candidate_joints(*args, guard=guard)
 
-    monkeypatch.setattr(cli, "candidate_joints", recording)
+    monkeypatch.setattr(inference, "candidate_joints", recording)
     bench(fig1b, ["A"], {"C": "T"}, r_max=2, trials=1, guard=64)
     assert guards == [64] * 7
 
@@ -873,3 +873,29 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_only_commands_that_eliminate_import_numpy(tmp_path):
+    script = """
+import sys
+import mapindep
+from mapindep import cli
+network, formula = sys.argv[1:]
+assert cli.run(["validate", "--network", network]) == 0
+assert cli.run(["compile", "--formula", "a & (b | !c)", "--out", formula]) == 0
+assert "numpy" not in sys.modules
+assert cli.run(["map", "--network", network, "--hypothesis", "A", "--evidence", "C=T"]) == 0
+assert "numpy" in sys.modules
+try:
+    mapindep.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("mapindep.no_such_name did not raise AttributeError")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(FIXTURES / "fig1b.json"), str(tmp_path / "f.json")],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(FIXTURES.parent / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr

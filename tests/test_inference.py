@@ -112,22 +112,22 @@ def test_marginal_empty_is_total_probability(fig1b):
     assert marginal(fig1b, {}) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ve_agrees_with_brute_on_random_networks():
+def test_ve_agrees_with_independent_oracle():
+    # 40 networks of 2-12 nodes observe a prefix of the declaration order,
+    # 15 of 2-9 nodes observe at most 3 variables drawn at random.
+    cases = []
     rng = random.Random(17)
     for _ in range(40):
         net = random_binary_network(rng, rng.randint(2, 12))
         k = rng.randint(0, len(net.names))
-        partial = random_assignment(rng, net, list(net.names)[:k])
-        assert marginal(net, partial) == pytest.approx(brute_marginal(net, partial), abs=1e-9)
-
-
-def test_ve_agrees_with_independent_oracle():
+        cases.append((net, random_assignment(rng, net, list(net.names)[:k])))
     rng = random.Random(29)
     for _ in range(15):
         net = random_binary_network(rng, rng.randint(2, 9))
         vars = list(net.names)
         rng.shuffle(vars)
-        partial = random_assignment(rng, net, vars[: rng.randint(0, 3)])
+        cases.append((net, random_assignment(rng, net, vars[: rng.randint(0, 3)])))
+    for net, partial in cases:
         assert marginal(net, partial) == pytest.approx(brute_marginal(net, partial), abs=1e-9)
 
 
