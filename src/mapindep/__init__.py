@@ -50,7 +50,7 @@ _ENGINE = {
         "independence",
     ),
     **dict.fromkeys(
-        ("MapResult", "joint_probability", "map_solve", "map_threshold", "marginal", "posterior"),
+        ("MapResult", "joint_probability", "map_solve", "marginal", "posterior"),
         "inference",
     ),
 }
@@ -75,7 +75,7 @@ __all__ = [
     "IndependenceReport", "Quantification", "RelevancePartition",
     "maximum_map_independence", "quantify", "relevance_partition",
     "strong_map_independence", "threshold_map_independence", "weak_map_independence",
-    "MapResult", "joint_probability", "map_solve", "map_threshold", "marginal", "posterior",
+    "MapResult", "joint_probability", "map_solve", "marginal", "posterior",
     "Assignment", "Cpt", "Network", "QueryPartition", "Variable", "Violation",
     "d_separated", "enumerate_assignments", "validate_network",
 ]

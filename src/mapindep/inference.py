@@ -27,7 +27,6 @@ import reprlib
 import sys
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import add
@@ -224,16 +223,14 @@ def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[b
 # public operations
 
 
-def _check_query_values(guard, tie_tol=0.0, q=0.0) -> None:
-    """Refuse a ``guard``, ``tie_tol`` or threshold ``q`` of the wrong type or
-    value before any work: ``guard`` is an int >= 0, ``tie_tol`` a finite
-    number >= 0 and ``q`` any number but NaN, a bool being none of these."""
+def _check_query_values(guard, tie_tol=0.0) -> None:
+    """Refuse a ``guard`` or ``tie_tol`` of the wrong type or value before any
+    work: ``guard`` is an int >= 0 and ``tie_tol`` a finite number >= 0, a
+    bool being neither."""
     if not isinstance(guard, int) or isinstance(guard, bool) or guard < 0:
         raise InvalidQueryError(f"guard must be a non-negative integer, got {reprlib.repr(guard)}")
     if not isinstance(tie_tol, (int, float)) or isinstance(tie_tol, bool) or not 0 <= tie_tol <= sys.float_info.max:
         raise InvalidQueryError(f"tie_tol must be a finite non-negative number, got {reprlib.repr(tie_tol)}")
-    if not isinstance(q, (int, float, Fraction)) or isinstance(q, bool) or q != q:
-        raise InvalidQueryError(f"threshold q must be a number, got {reprlib.repr(q)}")
 
 
 def joint_probability(net: Network, full: Mapping[str, str]) -> float:
@@ -334,25 +331,3 @@ def map_solve(
         tie=tie,
         runner_up_gap=best - runner_up,
     )
-
-
-def map_threshold(
-    net: Network,
-    h_star: Mapping[str, str],
-    evidence: Mapping[str, str] | None = None,
-    q: float | Fraction = 0.0,
-    *,
-    guard: int = DEFAULT_GUARD,
-) -> bool:
-    """Whether Pr(h_star, evidence) strictly exceeds ``q``; each marginal is guarded by ``guard``."""
-    _check_query_values(guard, q=q)
-    evidence = as_assignment(evidence or {})
-    if not h_star:
-        raise InvalidQueryError("h_star must be non-empty")
-    if set(h_star) & set(evidence):
-        raise InvalidQueryError("h_star and evidence must be disjoint")
-    check_assignment(net, h_star)
-    check_assignment(net, evidence)
-    if evidence and marginal(net, evidence, guard=guard) == 0.0:
-        raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
-    return marginal(net, {**h_star, **evidence}, guard=guard) > q

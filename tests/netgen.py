@@ -44,7 +44,9 @@ def random_network(
     With ``damp`` set, each CPT's rows are small perturbations of a shared
     base row, which makes the child nearly independent of its parents and
     MAP-independence verdicts mostly true -- useful for properties that are
-    vacuous on wild networks.
+    vacuous on wild networks.  Entries are floored at 0.05, so exact ties and
+    zero probabilities practically never occur; ``dyadic_network`` makes
+    both common.
     """
     variables = []
     cpts = []
@@ -71,6 +73,21 @@ def random_network(
 def random_binary_network(rng: random.Random, n_vars: int, max_parents: int = 3,
                           damp: float | None = None, name: str = "random") -> Network:
     return random_network(rng, n_vars, max_parents=max_parents, max_states=2, damp=damp, name=name)
+
+
+def dyadic_network(rng: random.Random, n_vars: int, max_parents: int = 2, name: str = "dyadic") -> Network:
+    """A random binary DAG over V0..V{n-1} whose CPT entries are all in
+    {0, 1/4, 1/2, 3/4, 1}.  Every probability on a few nodes is then a short
+    dyadic fraction, exact in double precision whatever the order of the sums,
+    so argmax ties and zero-probability assignments are exact and frequent."""
+    variables = tuple(Variable(f"V{i}", ("s0", "s1")) for i in range(n_vars))
+    cpts = []
+    for i, v in enumerate(variables):
+        k = rng.randint(0, min(i, max_parents))
+        parents = tuple(f"V{j}" for j in sorted(rng.sample(range(i), k)))
+        rows = tuple((p, 1 - p) for p in (rng.randint(0, 4) / 4 for _ in range(2 ** len(parents))))
+        cpts.append(Cpt(v.name, parents, rows))
+    return Network(name, variables, tuple(cpts))
 
 
 # Faults for corrupted_network.  Each edits a network held as mutable lists

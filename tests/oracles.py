@@ -110,6 +110,22 @@ def brute_strong(
     return True, None
 
 
+def brute_weak(
+    net: Network,
+    hypothesis: tuple[str, ...],
+    evidence: dict[str, str],
+    focus: tuple[str, ...],
+) -> tuple[bool, dict[str, str] | None]:
+    """Weak MAP-independence: the strong definition for each focus variable on
+    its own, in the order given.  Returns the verdict and the first
+    counterexample of the first variable that has one."""
+    for var in focus:
+        verdict, counterexample = brute_strong(net, hypothesis, evidence, (var,))
+        if not verdict:
+            return False, counterexample
+    return True, None
+
+
 def brute_quantify(
     net: Network,
     hypothesis: tuple[str, ...],

@@ -35,7 +35,7 @@ from mapindep.independence import (
     threshold_map_independence,
     weak_map_independence,
 )
-from mapindep.inference import DEFAULT_GUARD, candidate_joints, map_solve, map_threshold, marginal, posterior
+from mapindep.inference import DEFAULT_GUARD, candidate_joints, map_solve, marginal, posterior
 from mapindep.model import Cpt, Network, QueryPartition, Variable
 from conftest import FIXTURES, gated_network
 from netgen import random_binary_network
@@ -248,6 +248,8 @@ def test_map_subcommand(capsys):
 def test_map_unknown_state_is_usage_error(capsys):
     assert run(["map", "--network", FIG1B, "--hypothesis", "A", "--evidence", "C=maybe"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+    assert run(["map", "--network", FIG1B, "--hypothesis", "A", "--evidence", "C"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: evidence must be VAR=STATE pairs, got 'C'\n"
 
 
 def test_map_evidence_naming_a_variable_twice_is_usage_error(capsys):
@@ -416,6 +418,9 @@ def test_query_rejects_malformed_network_document(tmp_path, capsys, network, mes
                  "query document nests arrays and objects more than 64 deep", id="nested-400"),
     pytest.param(b'{"mode": "map", "hypothesis": ["A"], "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
                  "{path}: invalid JSON: arrays or objects nested too deeply to read", id="nested-100000"),
+    *(pytest.param({**STRONG_QUERY, "mode": "threshold", "h_star": {"A": "T"}, "s": s},
+                   "threshold s must be a number or fraction string", id=f"s-{json.dumps(s)}")
+      for s in (True, None, [0.1])),
 ])
 def test_query_rejects_malformed_query_document(tmp_path, capsys, query, message):
     path = write_query(tmp_path, "q.json", query)
@@ -473,10 +478,9 @@ def test_infeasible_evidence_on_many_variables_is_echoed_in_brief(tmp_path, caps
         assert err.startswith("error: ") and err.count("\n") == 1
         assert " {'V0': 'F', 'V1': 'T', 'V2': 'T', 'V3': 'T', ...} has probability zero" in err
         assert len(err) <= 500
-    for call in (lambda: posterior(net, {"H": "T"}, evidence), lambda: map_threshold(net, {"H": "T"}, evidence)):
-        with pytest.raises(InfeasibleQueryError) as info:
-            call()
-        assert len(str(info.value)) <= 500
+    with pytest.raises(InfeasibleQueryError) as info:
+        posterior(net, {"H": "T"}, evidence)
+    assert len(str(info.value)) <= 500
 
 
 def _long_names_network(n):
@@ -688,7 +692,6 @@ def test_every_public_function_guards_its_eliminations(fig1b, monkeypatch):
     calls = [
         functools.partial(marginal, net, corner),
         functools.partial(posterior, net, corner, root),
-        functools.partial(map_threshold, net, corner, root, 0.1),
         functools.partial(map_solve, net, ["g4_4"], root),
         functools.partial(strong_map_independence, net, partition),
         functools.partial(weak_map_independence, net, partition),
@@ -713,7 +716,6 @@ def test_every_public_function_guards_its_eliminations(fig1b, monkeypatch):
     pr_c, pr_ac = (candidate_joints(fig1b, (), e)[0] for e in ({"C": "T"}, {"A": "T", "C": "T"}))
     assert marginal(fig1b, {"C": "T"}) == pr_c
     assert posterior(fig1b, {"A": "T"}, {"C": "T"}) == pr_ac / pr_c
-    assert [map_threshold(fig1b, {"A": "T"}, {"C": "T"}, q) for q in (pr_ac * 0.5, pr_ac)] == [True, False]
     # quantify's Pr(e) gets the decider's guard.
     guards = []
 

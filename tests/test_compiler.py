@@ -358,6 +358,8 @@ def test_amajsat_rejects_bad_a_sets():
         build_amajsat_instance(ast, ("x1", "x2"))
     with pytest.raises(InvalidQueryError):
         build_amajsat_instance(ast, ("zz",))
+    with pytest.raises(InvalidQueryError, match="^the A-set contains duplicates$"):
+        build_amajsat_instance(ast, ("x1", "x1"))
 
 
 def test_reduction_faithful_to_brute_force_decider():

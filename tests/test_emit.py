@@ -75,6 +75,10 @@ class Record(dict):
     pass
 
 
+class Row(tuple):
+    pass
+
+
 STRINGS = ("", "T", "s0", "é", "日本語", "tab\tnew\nline", 'quote"back\\slash', "\x00\x1f", " ", "😀")
 FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308, 1e300, -1e300,
           0.1 + 0.2, 1 / 3, float("inf"), float("nan"))
@@ -115,7 +119,7 @@ def random_value(rng: random.Random, depth: int = 0):
             return rng.choice((Record, types.MappingProxyType))(mapping)
         return mapping
     items = [random_value(rng, depth + 1) for _ in range(size)]
-    return items if kind <= 3 else tuple(items)
+    return items if kind <= 3 else rng.choice((tuple, Row))(items)
 
 
 def test_random_values_emit_as_before():

@@ -19,8 +19,8 @@ from mapindep.independence import (
 from mapindep.inference import map_solve
 from mapindep.model import Cpt, Network, QueryPartition, Variable, assignment_at, d_separated
 from conftest import gated_network
-from netgen import random_binary_network, random_network, random_partition
-from oracles import brute_columns, brute_quantify, brute_strong
+from netgen import dyadic_network, random_binary_network, random_network, random_partition
+from oracles import brute_columns, brute_marginal, brute_quantify, brute_strong, brute_weak
 
 JOINT_TABLE = inference.joint_table
 
@@ -342,6 +342,8 @@ def test_threshold_validates_h_star_and_s(fn_ter):
         threshold_map_independence(fn_ter, {"R": "T"}, p, 0.1)
     with pytest.raises(InvalidQueryError):
         threshold_map_independence(fn_ter, {"H": "h1"}, p, 1.0)
+    with pytest.raises(InvalidQueryError, match="^focus set must be non-empty$"):
+        threshold_map_independence(fn_ter, {"H": "h1"}, part({}, ("H",), ()), 0.1)
 
 
 def test_threshold_table(fn_ter):
@@ -408,8 +410,7 @@ def test_bad_query_values_are_invalid_queries(fig1b):
             threshold(s)
     assert threshold(Fraction(1, 10)) == threshold(0.1)
     # A guard or tie_tol of the wrong type ended in TypeError or was read as a
-    # number, a negative or NaN tie_tol flagged no tie, and a NaN q answered False.
-    q_call = partial(inference.map_threshold, fig1b, {"A": "T"}, {"C": "T"})
+    # number, and a negative or NaN tie_tol flagged no tie.
     with_tie_tol = [
         partial(strong_map_independence, fig1b, p),
         partial(weak_map_independence, fig1b, p),
@@ -421,7 +422,6 @@ def test_bad_query_values_are_invalid_queries(fig1b):
     guarded = [
         *with_tie_tol,
         threshold,
-        partial(q_call, 0.1),
         partial(inference.marginal, fig1b, {"C": "T"}),
         partial(inference.posterior, fig1b, {"A": "T"}, {"C": "T"}),
         partial(inference.candidate_joints, fig1b, ("A",), {"C": "T"}),
@@ -434,11 +434,7 @@ def test_bad_query_values_are_invalid_queries(fig1b):
         for tie_tol in ("x", None, True, -1e-9, math.nan, math.inf):
             with pytest.raises(InvalidQueryError, match="^tie_tol must be a finite non-negative number"):
                 call(tie_tol=tie_tol)
-    for q in ("0.1", None, True, math.nan):
-        with pytest.raises(InvalidQueryError, match="^threshold q must be a number"):
-            q_call(q)
     assert map_solve(fig1b, ("A",), {"C": "T"}, tie_tol=0) == map_solve(fig1b, ("A",), {"C": "T"}, tie_tol=0.0)
-    assert q_call(Fraction(1, 10)) is q_call(0.1) is q_call(0) is True
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +519,44 @@ def test_quantify_matches_brute_force_with_several_hypothesis_variables():
         skipped += bool(report.skipped)
         flips += mean_hamming > 0
     assert checked >= 30 and skipped >= 10 and flips >= 15
+
+
+def test_dyadic_networks_agree_exactly_with_the_oracles():
+    # Entries in {0, 1/4, 1/2, 3/4, 1} make every sum exact, so at tie_tol=0
+    # exact ties and skipped columns are common and the answers must equal
+    # the oracles' to the bit.
+    infeasible = ties = skipped = refuted = 0
+    for seed in range(300):
+        rng = random.Random(f"dyadic:{seed}")
+        net = dyadic_network(rng, rng.randint(3, 7))
+        partition = random_partition(rng, net, n_evidence=rng.randint(0, 2),
+                                     n_hypothesis=rng.randint(1, 2), n_focus=rng.randint(1, 3))
+        hyp = tuple(sorted(partition.hypothesis, key=net.declaration_index))
+        focus = tuple(sorted(partition.focus, key=net.declaration_index))
+        evidence = partition.evidence
+        deciders = (strong_map_independence, weak_map_independence, quantify)
+        if brute_marginal(net, evidence) == 0.0:
+            for decide in deciders:
+                with pytest.raises(InfeasibleQueryError):
+                    decide(net, partition, tie_tol=0)
+            infeasible += 1
+            continue
+        strong, weak, metrics = (decide(net, partition, tie_tol=0) for decide in deciders)
+        h_star, records = brute_columns(net, hyp, evidence, focus)
+        assert strong.witness == weak.witness == h_star
+        assert (strong.verdict, strong.counterexample) == brute_strong(net, hyp, evidence, focus)
+        assert (weak.verdict, weak.counterexample) == brute_weak(net, hyp, evidence, focus)
+        assert (metrics.mass, metrics.proportion, metrics.mean_hamming) == brute_quantify(net, hyp, evidence, focus)
+        full = strong_map_independence(net, partition, tie_tol=0, short_circuit=False)
+        assert list(full.skipped) == [r for r, total, _, _ in records if total == 0.0]
+        full_weak = weak_map_independence(net, partition, tie_tol=0, short_circuit=False)
+        assert list(full_weak.skipped) == [
+            r for var in focus for r, total, _, _ in brute_columns(net, hyp, evidence, (var,))[1] if total == 0.0
+        ]
+        ties += full.ties_encountered
+        skipped += bool(full.skipped)
+        refuted += not strong.verdict
+    assert infeasible >= 20 and ties >= 50 and skipped >= 100 and refuted >= 40
 
 
 def test_quantify_with_skipped_assignments_stays_consistent():

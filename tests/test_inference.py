@@ -12,7 +12,6 @@ from mapindep.inference import (
     joint_probability,
     joint_table,
     map_solve,
-    map_threshold,
     marginal,
     posterior,
 )
@@ -197,7 +196,6 @@ def test_evidence_given_as_a_string_is_rejected(fig1b):
         lambda: marginal(fig1b, "C"),
         lambda: posterior(fig1b, {"A": "T"}, "C"),
         lambda: posterior(fig1b, "A", {"C": "T"}),
-        lambda: map_threshold(fig1b, {"A": "T"}, "C"),
     ):
         with pytest.raises(InvalidQueryError, match="expected a mapping from variable names to states"):
             call()
@@ -341,6 +339,10 @@ def test_posterior_zero_evidence_is_an_error():
 def test_posterior_rejects_overlap(fig1b):
     with pytest.raises(InvalidQueryError):
         posterior(fig1b, {"A": "T"}, {"A": "F"})
+    with pytest.raises(InvalidQueryError, match="^evidence and conditioning must be disjoint$"):
+        map_solve(fig1b, ("A",), {"C": "T"}, {"C": "F"})
+    with pytest.raises(InvalidQueryError, match="^hypothesis overlaps the conditioning context$"):
+        map_solve(fig1b, ("A",), {"C": "T"}, {"A": "T"})
 
 
 def test_normalization_over_hypothesis():
@@ -520,22 +522,3 @@ def test_map_exhaustive_dominance():
         result = map_solve(net, h, evidence)
         for candidate in enumerate_assignments(net, h):
             assert result.joint_probability >= marginal(net, {**evidence, **candidate}) - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# threshold on a single assignment
-
-
-def test_map_threshold_fig1a(fig1a):
-    assert map_threshold(fig1a, {"A": "F"}, {"C": "T"}, 0.25) is True
-
-
-def test_map_threshold_trivial_bounds(fig1b):
-    assert map_threshold(fig1b, {"A": "T"}, {"C": "T"}, 1.0) is False
-    assert map_threshold(fig1b, {"A": "T"}, {"C": "T"}, 0.0) is True
-
-
-def test_map_threshold_zero_evidence():
-    net = deterministic_pair()
-    with pytest.raises(InfeasibleQueryError):
-        map_threshold(net, {"A": "T"}, {"B": "F"}, 0.1)

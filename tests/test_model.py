@@ -341,6 +341,8 @@ def test_graph_queries_agree_with_the_oracles():
 def test_dsep_fig1a(fig1a):
     assert d_separated(fig1a, {"D"}, {"A"}, {"C"}) is True
     assert d_separated(fig1a, {"B"}, {"A"}, {"C"}) is False
+    # Evidence given as a mapping conditions on its variables.
+    assert d_separated(fig1a, {"D"}, {"A"}, {"C": "T"}) is True
 
 
 def collider():
@@ -485,6 +487,7 @@ def test_state_index_resolves_states_and_names_what_is_unknown(fig1b):
     assert [fig1b.state_index(v.name, s) for v in fig1b.variables for s in v.states] == [0, 1] * len(fig1b.variables)
     for call, message in (
         (lambda: fig1b.state_index("Z", "T"), "unknown variable 'Z' in network 'fig1b'"),
+        (lambda: fig1b.declaration_index("Z"), "unknown variable 'Z' in network 'fig1b'"),
         (lambda: fig1b.state_index("A", "X"), "unknown state 'X' for variable 'A'"),
         (lambda: fig1b.state_index("A", ["T"]), "unknown state ['T'] for variable 'A'"),
         (lambda: fig1b.state_index("A", "T" * 5000), "unknown state 'TTTTTTTTTTTT...TTTTTTTTTTTTT' for variable 'A'"),
