@@ -405,6 +405,8 @@ def bench(
     intermediates = [v for v in net.names if v not in taken]
     if not 1 <= r_max <= len(intermediates):
         raise InvalidQueryError(f"rmax must be between 1 and {len(intermediates)}, got {r_max}")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise InvalidQueryError(f"trials must be a positive integer, got {reprlib.repr(trials)}")
     # bench's checks: the partition, Pr(e) = 0 (its elimination guarded), then |Omega(H)|
     # (here a note, no rows).  A strong query checks its table's guards before Pr(e) = 0:
     # when Pr(e) = 0 and only the strong table is past the guard, it exits 4, bench 3.
@@ -415,7 +417,7 @@ def bench(
     count = assignment_count(net, hyp)
     if count > guard:
         truncated = f"stopped at |R|=1: |Omega(H)| = {count} exceeds guard {guard}"
-        return {"rows": [], "trials": max(1, trials), "truncated": truncated}
+        return {"rows": [], "trials": trials, "truncated": truncated}
     sizes = []
     truncated = None
     for k in range(1, r_max + 1):
@@ -426,7 +428,7 @@ def bench(
             break
         sizes.append((focus, omega))
     times: list[list[float]] = [[] for _ in sizes]
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         for (focus, omega), samples in zip(sizes, times):
             t0 = time.perf_counter()
             for rank in range(omega):
@@ -436,7 +438,7 @@ def bench(
         {"r_size": len(focus), "omega": omega, "median_seconds": statistics.median(samples)}
         for (focus, omega), samples in zip(sizes, times)
     ]
-    return {"rows": rows, "trials": max(1, trials), "truncated": truncated}
+    return {"rows": rows, "trials": trials, "truncated": truncated}
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,7 @@ _ROWS = {Var: _ID_ROWS, Not: ((0.0, 1.0), (1.0, 0.0)), And: ((1.0, 0.0), (0.0, 1
 _KIND = {Var: "id", Not: "not", And: "and", Or: "or"}
 
 
-def compile_network(ast: FormulaAst, name: str = "compiled") -> CompiledInstance:
+def compile_network(ast: FormulaAst) -> CompiledInstance:
     """Compile a formula into a network whose top node is true with the
     satisfying fraction.
 
@@ -305,19 +305,19 @@ def compile_network(ast: FormulaAst, name: str = "compiled") -> CompiledInstance
         taken.add(node)
         return node
 
-    def declare(op: FormulaAst, name_: str, *operands: str) -> str:
+    def declare(op: FormulaAst, name: str, *operands: str) -> str:
         rows = _ROWS[type(op)]
         if len(operands) == 2 and operands[0] == operands[1]:
             # x&x and x|x both collapse to the diagonal of the truth table.
             operands, rows = operands[:1], _ID_ROWS
-        variables.append(Variable(name_, (_T, _F)))
-        cpts.append(Cpt(name_, operands, rows))
-        return name_
+        variables.append(Variable(name, (_T, _F)))
+        cpts.append(Cpt(name, operands, rows))
+        return name
 
     phi = _fold(ast, lambda var: var.name, declare, fresh)
     if isinstance(ast, Var):
         phi = declare(ast, fresh(ast), phi)
-    net = Network(name=name, variables=tuple(variables), cpts=tuple(cpts))
+    net = Network(name="compiled", variables=tuple(variables), cpts=tuple(cpts))
     return CompiledInstance(network=net, phi_node=phi, variable_nodes=var_names)
 
 

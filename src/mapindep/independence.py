@@ -34,9 +34,6 @@ Pr(e) on its own; only quantify's ``mass`` eliminates for Pr(e), and
 ``threshold``, which has no reference explanation, reads its answer off
 one table Pr(h_star, R, e) and checks Pr(e) with a guarded elimination
 after it.
-
-The ``workers`` keyword is accepted for compatibility and ignored: a query
-is one elimination, so there is no sweep to split.
 """
 
 from __future__ import annotations
@@ -60,6 +57,7 @@ from .model import (
     Assignment,
     Network,
     QueryPartition,
+    as_assignment,
     assignment_at,
     assignment_count,
     canonical_vars,
@@ -277,10 +275,8 @@ def strong_map_independence(
     *,
     tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
     table_limit: int | None = None,
     strict_zeros: bool = False,
-    short_circuit: bool = True,
     with_metrics: bool = False,
 ) -> IndependenceReport:
     """Is the MAP of the hypothesis the same for every joint assignment to the focus?
@@ -301,9 +297,7 @@ def strong_map_independence(
     source = _SubsetFolds(
         net, hypothesis, evidence, focus, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros
     )
-    fold = source.fold(
-        focus, stop_early=short_circuit and not with_metrics and table_limit is None, table_limit=table_limit
-    )
+    fold = source.fold(focus, stop_early=not with_metrics and table_limit is None, table_limit=table_limit)
 
     metrics = None
     if with_metrics:
@@ -332,10 +326,8 @@ def weak_map_independence(
     *,
     tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
     table_limit: int | None = None,
     strict_zeros: bool = False,
-    short_circuit: bool = True,
 ) -> IndependenceReport:
     """Strong MAP-independence checked per focus variable, one at a time.
 
@@ -346,9 +338,8 @@ def weak_map_independence(
     ``_JOINT_CELLS`` cells and fits the guard; above that each R_i gets its
     own elimination, so the work grows with the sum of the focus
     cardinalities rather than their product.  The first failing R_i gives
-    the counterexample and, unless a table was requested or
-    ``short_circuit`` is off, ends the loop.  Table rows follow the focus
-    order, up to ``table_limit`` in all.
+    the counterexample and, unless a table was requested, ends the loop.
+    Table rows follow the focus order, up to ``table_limit`` in all.
     """
     _check_table_limit(table_limit)
     _check_query_values(guard, tie_tol)
@@ -358,7 +349,7 @@ def weak_map_independence(
     source = _SubsetFolds(
         net, hypothesis, evidence, focus, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros
     )
-    stop_early = short_circuit and table_limit is None
+    stop_early = table_limit is None
     folds: list[_Fold] = []
     rows: list[SweepRow] = []
     for var in focus:
@@ -386,7 +377,6 @@ def maximum_map_independence(
     *,
     tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
     strict_zeros: bool = False,
 ) -> IndependenceReport:
     """Find a subset of the candidate pool, of size at least ``k``, from which
@@ -450,7 +440,6 @@ def threshold_map_independence(
     s: float | Fraction,
     *,
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
     table_limit: int | None = None,
 ) -> IndependenceReport:
     """Does Pr(h_star, r, e) strictly exceed ``s`` for every r over the focus?
@@ -474,6 +463,7 @@ def threshold_map_independence(
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if not focus:
         raise InvalidQueryError("focus set must be non-empty")
+    h_star = as_assignment(h_star)
     if set(h_star) != set(hypothesis):
         raise InvalidQueryError("h_star must assign exactly the hypothesis variables")
     check_assignment(net, h_star)
@@ -513,7 +503,6 @@ def quantify(
     *,
     tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
     strict_zeros: bool = False,
 ) -> Quantification:
     """Quantified MAP-independence of the focus set: mass, proportion, mean Hamming."""

@@ -117,7 +117,7 @@ def joint_table(
     keep: tuple[str, ...],
     partial: Mapping[str, str],
     *,
-    guard: int | None = None,
+    guard: int = DEFAULT_GUARD,
 ) -> np.ndarray:
     """Pr(keep, partial) as an array with one axis per kept variable, in the order given.
 
@@ -130,9 +130,9 @@ def joint_table(
     the table can differ from a full elimination by that row-sum slack.  An empty
     ``keep`` gives a 0-d array holding Pr(partial).  The elimination is
     planned on scopes before any arithmetic.  Kept variables stay in every
-    bucket they touch, so a product can outgrow the final table; with a
-    ``guard``, a plan whose final table or any product of two or more factors
-    has more than ``guard`` entries raises CapacityError before any product.
+    bucket they touch, so a product can outgrow the final table; a plan
+    whose final table or any product of two or more factors has more than
+    ``guard`` entries raises CapacityError before any product.
 
     Variables are numbered once per call, the summed-out ones first in
     declaration order, then the kept ones; every scope is a tuple of these
@@ -192,11 +192,10 @@ def joint_table(
         live.append(True)
     rest = [i for i, alive in enumerate(live) if alive]
     final_scope = tuple(dict.fromkeys(v for i in rest for v in scopes[i]))
-    if guard is not None:
-        for scope in [s for bucket, s, _ in steps if len(bucket) > 1] + [final_scope]:
-            size = math.prod(map(cards.__getitem__, scope))
-            if size > guard:
-                raise CapacityError(f"elimination table of {size} entries exceeds guard {guard}")
+    for scope in [s for bucket, s, _ in steps if len(bucket) > 1] + [final_scope]:
+        size = math.prod(map(cards.__getitem__, scope))
+        if size > guard:
+            raise CapacityError(f"elimination table of {size} entries exceeds guard {guard}")
 
     for bucket, scope, axis in steps:
         if len(bucket) == 1:
@@ -236,6 +235,7 @@ def _check_query_values(guard, tie_tol=0.0) -> None:
 def joint_probability(net: Network, full: Mapping[str, str]) -> float:
     """Chain-rule product of CPT entries for a full assignment: the 0-d table
     of ``joint_table``, which multiplies them in declaration order from 1.0."""
+    full = as_assignment(full)
     if len(full) != len(net.variables):
         missing = [v for v in net.names if v not in full]
         raise InvalidQueryError(f"joint_probability needs a full assignment; missing {reprlib.repr(missing)}")

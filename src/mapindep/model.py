@@ -329,9 +329,12 @@ def check_assignment(net: Network, assignment: Mapping[str, str]) -> None:
 
 
 def _collection(vars: Iterable[str]) -> Iterable[str]:
-    """``vars`` itself, unless it is a string: that would iterate into its characters."""
+    """``vars`` itself, unless it is a string (that would iterate into its
+    characters) or not iterable at all, as None is."""
     if isinstance(vars, str):
         raise InvalidQueryError(f"expected a collection of variable names, got the string {reprlib.repr(vars)}")
+    if not isinstance(vars, Iterable):
+        raise InvalidQueryError(f"expected a collection of variable names, got {reprlib.repr(vars)}")
     return vars
 
 
@@ -542,6 +545,8 @@ def resolve_partition(net: Network, partition: QueryPartition) -> tuple[tuple[st
     canonicalized to declaration order.  The three declared sets must be
     pairwise disjoint and the hypothesis non-empty.
     """
+    if not isinstance(partition, QueryPartition):
+        raise InvalidQueryError(f"expected a QueryPartition, got {reprlib.repr(partition)}")
     check_assignment(net, partition.evidence)
     hypothesis = canonical_vars(net, partition.hypothesis)
     focus = canonical_vars(net, partition.focus)

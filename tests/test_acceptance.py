@@ -282,7 +282,7 @@ def test_criterion_9_fpt_scaling():
         intermediates = [v for v in net.names if v not in hypothesis and v not in evidence]
         partition = part(evidence, tuple(hypothesis), tuple(intermediates[:8]))
         t0 = time.perf_counter()
-        strong_map_independence(net, partition, short_circuit=False)
+        strong_map_independence(net, partition, table_limit=0)
         assert time.perf_counter() - t0 < 10.0
 
 

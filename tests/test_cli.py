@@ -26,7 +26,13 @@ from mapindep.cli import (
     run,
     save_network,
 )
-from mapindep.errors import CapacityError, DocumentError, InfeasibleQueryError, NetworkValidationError
+from mapindep.errors import (
+    CapacityError,
+    DocumentError,
+    InfeasibleQueryError,
+    InvalidQueryError,
+    NetworkValidationError,
+)
 from mapindep.independence import (
     maximum_map_independence,
     quantify,
@@ -641,6 +647,13 @@ def test_bench_single_row(fig1b):
     assert len(table["rows"]) == 1
 
 
+@pytest.mark.parametrize("trials", [0, -4, True])
+def test_bench_refuses_a_bad_trial_count(fig1b, trials):
+    # A count below 1 times nothing and has no median; True is not a count.
+    with pytest.raises(InvalidQueryError, match="^trials must be a positive integer, got "):
+        bench(fig1b, ["A"], {"C": "T"}, r_max=1, trials=trials)
+
+
 def test_bench_truncates_at_guard():
     net = random_binary_network(random.Random(9), 8)
     table = bench(net, [net.names[0]], {}, r_max=5, trials=1, guard=8)
@@ -739,6 +752,17 @@ def test_bench_subcommand(tmp_path):
     report = read_report(out)
     assert len(report["result"]["rows"]) == 2
     assert report["query"]["mode"] == "bench"
+
+
+def test_bench_subcommand_refuses_zero_trials(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    code = run([
+        "bench", "--network", FIG1B, "--hypothesis", "A", "--evidence", "C=T",
+        "--rmax", "1", "--trials", "0", "--output", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: trials must be a positive integer, got 0\n"
+    assert not out.exists()
 
 
 def test_bench_rmax_out_of_range(fig1b):

@@ -350,6 +350,24 @@ def test_amajsat_strict_inequality_at_boundary():
     assert report.min_joint == 0.25
 
 
+PAST_53_BITS = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 16: the table entry rounds to exactly 1/4 and the float comparison answers false",
+)
+
+
+@pytest.mark.parametrize("k", [*range(40, 54), *(pytest.param(k, marks=PAST_53_BITS) for k in (54, 60, 70))])
+def test_amajsat_threshold_exact_up_to_53_bits(k):
+    # (a | !a) & (x1 | x2 & ... & xk) with A = {a}: Pr(top=T, a) = (2^(k-1) + 1) / 2^(k+1),
+    # strictly above s = 1/4 for every k, and a double only while k <= 53.
+    text = "(a | !a) & (x1 | " + " & ".join(f"x{i}" for i in range(2, k + 1)) + ")"
+    instance = build_amajsat_instance(parse_formula(text), ("a",))
+    assert instance.query.s == Fraction(1, 4)
+    report = run_instance(instance)
+    assert report.verdict is True
+    assert report.min_joint == float(Fraction(2 ** (k - 1) + 1, 2 ** (k + 1)))
+
+
 def test_amajsat_rejects_bad_a_sets():
     ast = parse_formula("x1 & x2")
     with pytest.raises(InvalidQueryError):

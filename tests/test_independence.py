@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from dataclasses import replace
@@ -7,6 +8,7 @@ from functools import partial
 import pytest
 
 from mapindep import independence, inference
+from mapindep.compiler import compile_network, parse_formula
 from mapindep.errors import CapacityError, InfeasibleQueryError, InvalidQueryError
 from mapindep.independence import (
     maximum_map_independence,
@@ -16,8 +18,8 @@ from mapindep.independence import (
     threshold_map_independence,
     weak_map_independence,
 )
-from mapindep.inference import map_solve
-from mapindep.model import Cpt, Network, QueryPartition, Variable, assignment_at, d_separated
+from mapindep.inference import joint_probability, map_solve
+from mapindep.model import Cpt, Network, QueryPartition, Variable, assignment_at, d_separated, enumerate_assignments
 from conftest import gated_network
 from netgen import dyadic_network, random_binary_network, random_network, random_partition
 from oracles import brute_columns, brute_marginal, brute_quantify, brute_strong, brute_weak
@@ -437,6 +439,65 @@ def test_bad_query_values_are_invalid_queries(fig1b):
     assert map_solve(fig1b, ("A",), {"C": "T"}, tie_tol=0) == map_solve(fig1b, ("A",), {"C": "T"}, tie_tol=0.0)
 
 
+DECIDERS = {
+    "strong": strong_map_independence,
+    "weak": weak_map_independence,
+    "quantify": quantify,
+    "maximum": lambda net, p: maximum_map_independence(net, p, 1),
+    "threshold": lambda net, p: threshold_map_independence(net, {"A": "T"}, p, 0.1),
+}
+NOT_PARTITIONS = {
+    "tuple": ({"C": "T"}, ("A",), ("B",)),
+    "dict": {"evidence": {"C": "T"}, "hypothesis": ("A",), "focus": ("B",)},
+    "None": None,
+}
+FIG1B_PARTITION = QueryPartition({"C": "T"}, ("A",), ("B",))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda net: QueryPartition({"C": "T"}, None, ("B",)), id="QueryPartition-hypothesis"),
+    pytest.param(lambda net: QueryPartition({"C": "T"}, ("A",), None), id="QueryPartition-focus"),
+    pytest.param(lambda net: map_solve(net, None, {"C": "T"}), id="map_solve"),
+    pytest.param(lambda net: relevance_partition(net, {"C": "T"}, ("A",), None), id="relevance_partition"),
+    pytest.param(lambda net: d_separated(net, None, {"B"}, set()), id="d_separated-x"),
+    pytest.param(lambda net: d_separated(net, {"A"}, {"B"}, None), id="d_separated-z"),
+    pytest.param(lambda net: next(enumerate_assignments(net, None)), id="enumerate_assignments"),
+    *(
+        pytest.param(lambda net, decide=decide, p=p: decide(net, p), id=f"{name}-{kind}")
+        for name, decide in DECIDERS.items()
+        for kind, p in NOT_PARTITIONS.items()
+    ),
+    pytest.param(lambda net: threshold_map_independence(net, None, FIG1B_PARTITION, 0.1), id="threshold-h_star"),
+    pytest.param(lambda net: joint_probability(net, None), id="joint_probability"),
+])
+def test_malformed_library_inputs_are_invalid_queries(fig1b, call):
+    # Each of these would otherwise end in a bare TypeError or AttributeError.
+    with pytest.raises(InvalidQueryError):
+        call(fig1b)
+
+
+def test_public_keywords_are_the_documented_ones():
+    # No keyword that does nothing: table_limit=0 is how a caller asks for the full fold.
+    documented = {
+        strong_map_independence: {"tie_tol", "guard", "table_limit", "strict_zeros", "with_metrics"},
+        weak_map_independence: {"tie_tol", "guard", "table_limit", "strict_zeros"},
+        maximum_map_independence: {"tie_tol", "guard", "strict_zeros"},
+        threshold_map_independence: {"guard", "table_limit"},
+        quantify: {"tie_tol", "guard", "strict_zeros"},
+        relevance_partition: {"tie_tol", "guard", "strict_zeros"},
+    }
+    for decide, keywords in documented.items():
+        params = inspect.signature(decide).parameters.values()
+        assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == keywords, decide.__name__
+    assert list(inspect.signature(compile_network).parameters) == ["ast"]
+    for decide in (strong_map_independence, weak_map_independence):
+        for keyword in ("workers", "short_circuit"):
+            with pytest.raises(TypeError):
+                decide(None, FIG1B_PARTITION, **{keyword: 1})
+    with pytest.raises(TypeError):
+        compile_network(parse_formula("x1"), name="compiled")
+
+
 # ---------------------------------------------------------------------------
 # quantification
 
@@ -504,8 +565,7 @@ def test_quantify_matches_brute_force_with_several_hypothesis_variables():
         assert metrics.mean_hamming == pytest.approx(mean_hamming, abs=1e-12)
 
         limit = rng.randint(0, 4)
-        report = strong_map_independence(net, partition, table_limit=limit, short_circuit=False,
-                                         with_metrics=True)
+        report = strong_map_independence(net, partition, table_limit=limit, with_metrics=True)
         assert report.witness == h_star
         assert (report.verdict, report.counterexample) == brute_strong(net, hyp, partition.evidence, focus)
         assert list(report.skipped) == [r for r, total, _, _ in records if total == 0.0]
@@ -547,9 +607,9 @@ def test_dyadic_networks_agree_exactly_with_the_oracles():
         assert (strong.verdict, strong.counterexample) == brute_strong(net, hyp, evidence, focus)
         assert (weak.verdict, weak.counterexample) == brute_weak(net, hyp, evidence, focus)
         assert (metrics.mass, metrics.proportion, metrics.mean_hamming) == brute_quantify(net, hyp, evidence, focus)
-        full = strong_map_independence(net, partition, tie_tol=0, short_circuit=False)
+        full = strong_map_independence(net, partition, tie_tol=0, table_limit=0)
         assert list(full.skipped) == [r for r, total, _, _ in records if total == 0.0]
-        full_weak = weak_map_independence(net, partition, tie_tol=0, short_circuit=False)
+        full_weak = weak_map_independence(net, partition, tie_tol=0, table_limit=0)
         assert list(full_weak.skipped) == [
             r for var in focus for r, total, _, _ in brute_columns(net, hyp, evidence, (var,))[1] if total == 0.0
         ]
@@ -617,7 +677,7 @@ def tables(monkeypatch):
 
 def test_strong_and_quantify_build_one_table(fig1b, tables):
     p = part({"C": "T"}, ("A",), ("E", "B"))
-    strong_map_independence(fig1b, p, short_circuit=False)
+    strong_map_independence(fig1b, p, table_limit=0)
     assert tables == [("A", "B", "E")]
     tables.clear()
     quantify(fig1b, p)
@@ -867,7 +927,7 @@ def test_later_folds_are_given_the_first_folds_h_star(monkeypatch, cells):
         if trial % 3 == 0:
             net = symmetric_hypothesis(net, p.hypothesis[0])
         for decide in (
-            lambda: weak_map_independence(net, p, short_circuit=False),
+            lambda: weak_map_independence(net, p, table_limit=0),
             lambda: relevance_partition(net, p.evidence, p.hypothesis, p.focus),
             lambda: maximum_map_independence(net, p, 1),
         ):
@@ -1072,21 +1132,9 @@ def test_witness_is_the_map_of_the_hypothesis():
     assert tied == 30
 
 
-def test_reports_deterministic_and_parallel_identical(fig1b):
+def test_reports_deterministic(fig1b):
     p = part({"C": "T"}, ("A",), ("B", "E"))
-    kwargs = dict(short_circuit=False, with_metrics=True, table_limit=8)
+    kwargs = dict(with_metrics=True, table_limit=8)
     a = strong_map_independence(fig1b, p, **kwargs)
     b = strong_map_independence(fig1b, p, **kwargs)
-    c = strong_map_independence(fig1b, p, workers=4, **kwargs)
-    assert a == b == c
-
-
-def test_parallel_counterexample_is_canonical_first():
-    rng = random.Random(401)
-    for _ in range(15):
-        net = random_binary_network(rng, rng.randint(5, 9))
-        partition = random_partition(rng, net, n_focus=3)
-        seq = strong_map_independence(net, partition)
-        par = strong_map_independence(net, partition, workers=4)
-        assert seq.verdict == par.verdict
-        assert seq.counterexample == par.counterexample
+    assert a == b
