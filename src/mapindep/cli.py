@@ -78,6 +78,11 @@ EXIT_USAGE = 1
 EXIT_INVALID_NETWORK = 2
 EXIT_INFEASIBLE = 3
 EXIT_CAPACITY = 4
+_ERROR_EXITS = (
+    (NetworkValidationError, EXIT_INVALID_NETWORK),
+    (InfeasibleQueryError, EXIT_INFEASIBLE),
+    (CapacityError, EXIT_CAPACITY),
+)
 
 # How many levels of arrays and objects a query document may nest, its own included.
 MAX_QUERY_DEPTH = 64
@@ -403,6 +408,8 @@ def bench(
 
     taken = set(hypothesis) | set(evidence)
     intermediates = [v for v in net.names if v not in taken]
+    if not isinstance(r_max, int) or isinstance(r_max, bool):
+        raise InvalidQueryError(f"rmax must be an integer, got {reprlib.repr(r_max)}")
     if not 1 <= r_max <= len(intermediates):
         raise InvalidQueryError(f"rmax must be between 1 and {len(intermediates)}, got {r_max}")
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
@@ -688,18 +695,9 @@ def _dispatch(argv: list[str] | None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except NetworkValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_NETWORK
-    except InfeasibleQueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except MapIndepError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_USAGE)
 
 
 def main() -> None:

@@ -7,15 +7,17 @@ every joint assignment to R; the weak decider checks each focus variable
 on its own; the maximum search looks for a largest subset of a candidate
 pool from which H is strongly independent.
 
-Every decider but ``threshold`` is a reduction over tables Pr(H, S, e)
-built by ``inference.joint_table``, for focus subsets S of one set F (the
-focus set, the candidates or the pool), and ``_SubsetFolds`` is the one
-place that folds them.  Strong and quantify fold S = F = R; weak,
-partition and maximum fold many subsets.  ``_SubsetFolds`` builds
-Pr(H, F, e) once, and each S's table is its sum over F minus S.  That
-holds while the table has at most ``_JOINT_CELLS`` cells and its plan
-passes the guard; otherwise each S gets its own elimination, so a focus
-set too large for one joint table is still answered variable by variable.
+Every decider first runs ``_resolve``, the one order of checks made before
+any elimination: ``table_limit``, ``guard`` and ``tie_tol``, the partition,
+a non-empty focus.  Every decider but ``threshold`` then folds tables
+Pr(H, S, e) from ``inference.joint_table`` for focus subsets S of one set F
+(the focus set, the candidates or the pool), through ``_SubsetFolds``, its
+one front door.  Strong and quantify fold S = F = R; weak, partition and
+maximum fold many subsets.  The first fold builds Pr(H, F, e), and each S's
+table is its sum over F minus S.  That holds while the table has at most
+``_JOINT_CELLS`` cells and its plan passes the guard; otherwise each S gets
+its own elimination, so a focus set too large for one joint table is still
+answered variable by variable.
 Each column (one assignment s) yields its first maximiser and tie flag, by
 the rule ``map_solve`` also applies, its total Pr(s, e) and the entry of
 the reference explanation h*; the columns are folded in canonical
@@ -27,10 +29,9 @@ an InfeasibleQueryError instead.
 h* = argmax_H Pr(H, e) comes from the first subset table a decider folds:
 its row sums are Pr(H, e), reduced by the same tie rule, and their total is
 Pr(e), so a zero total is the check for infeasible evidence.  It runs
-after the guard has passed the table's elimination.  ``_SubsetFolds``
-hands the first fold's h* to every later fold and keeps the ties seen so
-far, so no decider carries h* itself.  No decider eliminates for h* or
-Pr(e) on its own; only quantify's ``mass`` eliminates for Pr(e), and
+after the guard has passed the table's elimination; every later fold
+reuses it, so no decider carries h* itself.  No decider eliminates for h*
+or Pr(e) on its own; only quantify's ``mass`` eliminates for Pr(e), and
 ``threshold``, which has no reference explanation, reads its answer off
 one table Pr(h_star, R, e) and checks Pr(e) with a guarded elimination
 after it.
@@ -168,37 +169,47 @@ def _hamming(net: Network, hypothesis: tuple[str, ...], a_idx: int, b_idx: int) 
     return distance
 
 
+def _resolve(net, partition, *, guard, tie_tol=0.0, table_limit=None, empty="focus set"):
+    """The checks every decider shares, in this order and before any work: ``table_limit``,
+    ``guard`` and ``tie_tol``, the partition (resolved into (hypothesis, evidence, focus)),
+    and a non-empty focus, named ``empty`` (``None`` lets an empty focus through)."""
+    if table_limit is not None and (
+        not isinstance(table_limit, int) or isinstance(table_limit, bool) or table_limit < 0
+    ):
+        raise InvalidQueryError(f"table_limit must be None or a non-negative integer, got {reprlib.repr(table_limit)}")
+    _check_query_values(guard, tie_tol)
+    hypothesis, evidence, focus = resolve_partition(net, partition)
+    if empty and not focus:
+        raise InvalidQueryError(f"{empty} must be non-empty")
+    return hypothesis, evidence, focus
+
+
 class _SubsetFolds:
     """Folds of Pr(H, S, e), axes H then S, for focus subsets S of one set F.
 
-    Strong and quantify fold S = F = R once; weak, partition and maximum
-    fold many subsets of F.  Each subset's table is chosen by one rule.
-    While |Omega(H)| * |Omega(F)| is at most ``_JOINT_CELLS`` and the guard,
-    and the plan of Pr(H, F, e) passes the guard, that one table is built
-    here and each S's table is its sum over F minus S (for S = F, a sum over
-    no axes: an exact copy).  Otherwise each fold eliminates for S alone,
-    which is how a focus set whose joint table exceeds the guard is still
-    answered.  The first fold finds h*; every later fold reuses its rank.
-    ``h_star`` and ``ties`` (any tie seen so far, h*'s own included) are
-    read off after the folds.
+    Every decider but ``threshold`` enters here: construction runs ``_resolve``
+    and sets ``hypothesis``, ``evidence`` and ``focus`` F, with no elimination.
+    Strong and quantify fold S = F = R once; weak, partition and maximum fold
+    many subsets of F.  While |Omega(H)| * |Omega(F)| is at most ``_JOINT_CELLS``
+    and the guard, and the plan of Pr(H, F, e) passes the guard, the first fold
+    builds that one table and each S's table is its sum over F minus S (for
+    S = F, an exact copy); otherwise each fold eliminates for S alone, so a
+    focus set too large for one table is still answered.  The first fold finds
+    h*, which every later fold reuses; ``h_star`` and ``ties`` (any tie seen so
+    far, h*'s own included) are read off after the folds, or by ``report``.
     """
 
-    def __init__(self, net, hypothesis, evidence, focus, *, guard, tie_tol, strict_zeros):
+    def __init__(self, net, partition, *, guard, tie_tol, strict_zeros, table_limit=None, empty="focus set"):
+        self.hypothesis, self.evidence, self.focus = _resolve(
+            net, partition, guard=guard, tie_tol=tie_tol, table_limit=table_limit, empty=empty
+        )
         self.h_star: int | None = None
         self.ties = False
         self._net = net
-        self._hypothesis = hypothesis
-        self._evidence = evidence
-        self._focus = focus
         self._guard = guard
         self._tie_tol = tie_tol
         self._strict_zeros = strict_zeros
         self._joint = None
-        if assignment_count(net, hypothesis + focus) <= min(_JOINT_CELLS, guard):
-            try:
-                self._joint = joint_table(net, hypothesis + focus, evidence, guard=guard)
-            except CapacityError:
-                pass
 
     def fold(self, subset: tuple[str, ...], *, stop_early: bool, table_limit: int | None = None) -> _Fold:
         """Fold the columns of Pr(H, S, e), S = ``subset``, in canonical rank order.
@@ -210,17 +221,22 @@ class _SubsetFolds:
         sets h* to the first maximiser of the row sums Pr(H, e), whose tie
         flag starts ``ties``; a zero total means Pr(e) = 0.
         """
-        net, hypothesis = self._net, self._hypothesis
+        net, hypothesis, focus = self._net, self.hypothesis, self.focus
+        if self.h_star is None and assignment_count(net, hypothesis + focus) <= min(_JOINT_CELLS, self._guard):
+            try:
+                self._joint = joint_table(net, hypothesis + focus, self.evidence, guard=self._guard)
+            except CapacityError:
+                pass
         if self._joint is None:
-            table = joint_table(net, hypothesis + subset, self._evidence, guard=self._guard)
+            table = joint_table(net, hypothesis + subset, self.evidence, guard=self._guard)
         else:
             first = len(hypothesis)
-            table = self._joint.sum(axis=tuple(first + i for i, v in enumerate(self._focus) if v not in subset))
+            table = self._joint.sum(axis=tuple(first + i for i, v in enumerate(focus) if v not in subset))
         table = table.reshape(assignment_count(net, hypothesis), -1)
         if self.h_star is None:
             joints = table.sum(axis=1)
             if joints.sum() == 0.0:
-                raise InfeasibleQueryError(f"evidence {brief(self._evidence)} has probability zero")
+                raise InfeasibleQueryError(f"evidence {brief(self.evidence)} has probability zero")
             (self.h_star,), (self.ties,) = _column_argmax(joints.reshape(-1, 1), self._tie_tol)
         h_star = self.h_star
         argmax, ties = _column_argmax(table, self._tie_tol)
@@ -257,16 +273,24 @@ class _SubsetFolds:
                 break
         return fold
 
+    def report(self, mode: str, folds: list[_Fold], table_limit: int | None, **fields) -> IndependenceReport:
+        """Strong's or weak's report of ``folds``: the first counterexample, rows and skipped
+        assignments in fold order, h* as the witness, and the mode's own ``fields``."""
+        counterexample = next((f.counterexample for f in folds if not f.verdict), None)
+        return IndependenceReport(
+            mode=mode,
+            verdict=counterexample is None,
+            witness=assignment_at(self._net, self.hypothesis, self.h_star),
+            counterexample=counterexample,
+            per_assignment=None if table_limit is None else tuple(r for f in folds for r in f.rows),
+            skipped=tuple(r for f in folds for r in f.skipped),
+            ties_encountered=self.ties,
+            **fields,
+        )
+
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def _check_table_limit(table_limit) -> None:
-    if table_limit is None:
-        return
-    if not isinstance(table_limit, int) or isinstance(table_limit, bool) or table_limit < 0:
-        raise InvalidQueryError(f"table_limit must be None or a non-negative integer, got {reprlib.repr(table_limit)}")
 
 
 def strong_map_independence(
@@ -289,35 +313,20 @@ def strong_map_independence(
     Pr(e) too, but summed in another order its last digits differ, and
     ``mass`` is reported to 17 significant digits.
     """
-    _check_table_limit(table_limit)
-    _check_query_values(guard, tie_tol)
-    hypothesis, evidence, focus = resolve_partition(net, partition)
-    if not focus:
-        raise InvalidQueryError("focus set must be non-empty")
     source = _SubsetFolds(
-        net, hypothesis, evidence, focus, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros
+        net, partition, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros, table_limit=table_limit
     )
-    fold = source.fold(focus, stop_early=not with_metrics and table_limit is None, table_limit=table_limit)
+    fold = source.fold(source.focus, stop_early=not with_metrics and table_limit is None, table_limit=table_limit)
 
     metrics = None
     if with_metrics:
-        total = assignment_count(net, focus)
+        total = assignment_count(net, source.focus)
         metrics = Quantification(
-            mass=fold.mass_num / marginal(net, evidence, guard=guard),
+            mass=fold.mass_num / marginal(net, source.evidence, guard=guard),
             proportion=fold.unchanged / total,
             mean_hamming=fold.hamming_sum / total,
         )
-    return IndependenceReport(
-        mode="strong",
-        verdict=fold.verdict,
-        witness=assignment_at(net, hypothesis, source.h_star),
-        counterexample=fold.counterexample,
-        min_joint=fold.min_joint,
-        per_assignment=tuple(fold.rows) if table_limit is not None else None,
-        skipped=tuple(fold.skipped),
-        ties_encountered=source.ties,
-        metrics=metrics,
-    )
+    return source.report("strong", [fold], table_limit, min_joint=fold.min_joint, metrics=metrics)
 
 
 def weak_map_independence(
@@ -341,33 +350,17 @@ def weak_map_independence(
     the counterexample and, unless a table was requested, ends the loop.
     Table rows follow the focus order, up to ``table_limit`` in all.
     """
-    _check_table_limit(table_limit)
-    _check_query_values(guard, tie_tol)
-    hypothesis, evidence, focus = resolve_partition(net, partition)
-    if not focus:
-        raise InvalidQueryError("focus set must be non-empty")
     source = _SubsetFolds(
-        net, hypothesis, evidence, focus, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros
+        net, partition, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros, table_limit=table_limit
     )
     stop_early = table_limit is None
     folds: list[_Fold] = []
-    rows: list[SweepRow] = []
-    for var in focus:
-        limit = None if table_limit is None else table_limit - len(rows)
+    for var in source.focus:
+        limit = None if table_limit is None else table_limit - sum(len(f.rows) for f in folds)
         folds.append(source.fold((var,), stop_early=stop_early, table_limit=limit))
-        rows += folds[-1].rows
         if stop_early and not folds[-1].verdict:
             break
-    counterexample = next((f.counterexample for f in folds if not f.verdict), None)
-    return IndependenceReport(
-        mode="weak",
-        verdict=counterexample is None,
-        witness=assignment_at(net, hypothesis, source.h_star),
-        counterexample=counterexample,
-        per_assignment=tuple(rows) if table_limit is not None else None,
-        skipped=tuple(r for f in folds for r in f.skipped),
-        ties_encountered=source.ties,
-    )
+    return source.report("weak", folds, table_limit)
 
 
 def maximum_map_independence(
@@ -392,19 +385,16 @@ def maximum_map_independence(
     one table Pr(H, pool, e) while that has at most ``_JOINT_CELLS`` cells
     and fits the guard, else its own elimination.
     """
-    _check_query_values(guard, tie_tol)
+    source = _SubsetFolds(
+        net, partition, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros, empty="candidate pool"
+    )
+    pool = source.focus
     if not isinstance(k, int) or isinstance(k, bool):
         raise InvalidQueryError("k must be an integer")
-    hypothesis, evidence, pool = resolve_partition(net, partition)
-    if not pool:
-        raise InvalidQueryError("candidate pool must be non-empty")
     if not 1 <= k <= len(pool):
         raise InvalidQueryError(f"k must be between 1 and {len(pool)}, got {reprlib.repr(k)}")
     if math.comb(len(pool), k) > guard:
         raise CapacityError(f"C({len(pool)}, {k}) exceeds guard {guard}")
-    source = _SubsetFolds(
-        net, hypothesis, evidence, pool, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros
-    )
     failing: list[frozenset[str]] = []
 
     def independent(subset: tuple[str, ...]) -> bool:
@@ -427,7 +417,7 @@ def maximum_map_independence(
     return IndependenceReport(
         mode="maximum",
         verdict=best is not None,
-        witness=assignment_at(net, hypothesis, source.h_star),
+        witness=assignment_at(net, source.hypothesis, source.h_star),
         subset=best,
         ties_encountered=source.ties,
     )
@@ -458,11 +448,7 @@ def threshold_map_independence(
     and when p >= f if f > s.  Which of the two holds is decided once, by
     one exact comparison of f with s.
     """
-    _check_table_limit(table_limit)
-    _check_query_values(guard)
-    hypothesis, evidence, focus = resolve_partition(net, partition)
-    if not focus:
-        raise InvalidQueryError("focus set must be non-empty")
+    hypothesis, evidence, focus = _resolve(net, partition, guard=guard, table_limit=table_limit)
     h_star = as_assignment(h_star)
     if set(h_star) != set(hypothesis):
         raise InvalidQueryError("h_star must assign exactly the hypothesis variables")
@@ -528,13 +514,12 @@ def relevance_partition(
 
     Each candidate is tested on its own, as the weak decider tests it.
     """
-    _check_query_values(guard, tie_tol)
-    hyp, evidence, cands = resolve_partition(net, QueryPartition(evidence, hypothesis, candidates))
-    if not cands:
-        return RelevancePartition(relevant=(), irrelevant=(), justification={})
-    source = _SubsetFolds(net, hyp, evidence, cands, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros)
+    source = _SubsetFolds(
+        net, QueryPartition(evidence, hypothesis, candidates),
+        guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros, empty=None,
+    )
     justification = {}
-    for var in cands:
+    for var in source.focus:
         fold = source.fold((var,), stop_early=True)
         justification[var] = SingletonFinding(fold.verdict, fold.counterexample)
     relevant = tuple(var for var, finding in justification.items() if not finding.map_independent)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import reprlib
 import sys
-import weakref
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -70,14 +69,11 @@ class MapResult:
 # ---------------------------------------------------------------------------
 # factor algebra
 
-_factor_cache: "weakref.WeakKeyDictionary[Network, dict[str, tuple]]" = weakref.WeakKeyDictionary()
-
-
 def _base_factors(net: Network, names: list[str]) -> list[tuple[tuple[str, ...], np.ndarray]]:
     """The CPTs of ``names`` as (scope, values) pairs, values row-major over scope =
-    (*parents, child).  The CPTs not yet cached with the network are read in one
-    ``np.fromiter`` pass, and each is a reshaped slice of that array."""
-    cache = _factor_cache.setdefault(net, {})
+    (*parents, child).  The CPTs not yet cached with the network (``Network._factors``)
+    are read in one ``np.fromiter`` pass, and each is a reshaped slice of that array."""
+    cache = net._factors
     missing = [net.cpt(name) for name in names if name not in cache]
     if missing:
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(cpt.rows for cpt in missing)), float)

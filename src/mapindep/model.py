@@ -88,6 +88,11 @@ class Network:
     def _cpt_by_child(self) -> dict[str, Cpt]:
         return {c.child: c for c in self.cpts}
 
+    @cached_property
+    def _factors(self) -> dict[str, tuple]:
+        """CPT arrays by child, as (scope, values) pairs, filled by ``inference`` as it reads them."""
+        return {}
+
     def _unknown_variable(self, name: str) -> InvalidQueryError:
         return InvalidQueryError(f"unknown variable {reprlib.repr(name)} in network {reprlib.repr(self.name)}")
 

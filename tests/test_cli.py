@@ -654,6 +654,22 @@ def test_bench_refuses_a_bad_trial_count(fig1b, trials):
         bench(fig1b, ["A"], {"C": "T"}, r_max=1, trials=trials)
 
 
+@pytest.mark.parametrize("r_max", ["2", 1.5, True])
+def test_bench_refuses_a_focus_size_that_is_not_an_integer(fig1b, monkeypatch, r_max):
+    # Refused before the range check and before any elimination; True is not a size.
+    tables = []
+    joint_table = inference.joint_table
+
+    def counted(*args, **kwargs):
+        tables.append(args)
+        return joint_table(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "joint_table", counted)
+    with pytest.raises(InvalidQueryError, match="^rmax must be an integer, got "):
+        bench(fig1b, ["A"], {"C": "T"}, r_max=r_max, trials=1)
+    assert tables == []
+
+
 def test_bench_truncates_at_guard():
     net = random_binary_network(random.Random(9), 8)
     table = bench(net, [net.names[0]], {}, r_max=5, trials=1, guard=8)

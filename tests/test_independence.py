@@ -498,6 +498,54 @@ def test_public_keywords_are_the_documented_ones():
         compile_network(parse_formula("x1"), name="compiled")
 
 
+def test_every_decider_runs_the_shared_checks_first_and_in_one_order(fig1b, monkeypatch):
+    # table_limit, then guard and tie_tol, then the partition, then the focus, for every
+    # decider alike, and all of it before any elimination.
+    unknown = QueryPartition({"C": "T"}, ("A",), ("Z",))
+    with_table = [
+        partial(strong_map_independence, fig1b, unknown),
+        partial(weak_map_independence, fig1b, unknown),
+        partial(threshold_map_independence, fig1b, {"A": "T"}, unknown, 0.1),
+    ]
+    calls = with_table + [
+        partial(quantify, fig1b, unknown),
+        partial(maximum_map_independence, fig1b, unknown, 1),
+        partial(relevance_partition, fig1b, {"C": "T"}, ("A",), ("Z",)),
+    ]
+    for call in with_table:
+        with pytest.raises(InvalidQueryError, match="^table_limit must be None or a non-negative integer"):
+            call(guard=-1, table_limit=-1)
+    for call in calls:
+        with pytest.raises(InvalidQueryError, match="^guard must be a non-negative integer"):
+            call(guard=-1)
+        with pytest.raises(InvalidQueryError, match="^unknown variable 'Z'"):
+            call()
+
+    tables = []
+
+    def counted(*args, **kwargs):
+        tables.append(args)
+        return JOINT_TABLE(*args, **kwargs)
+
+    monkeypatch.setattr(independence, "joint_table", counted)
+    pool = QueryPartition({"C": "T"}, ("A",), ("B", "E"))
+    for k in (0, 3, 1.5, True):
+        with pytest.raises(InvalidQueryError, match="^k must be"):
+            maximum_map_independence(fig1b, pool, k)
+    with pytest.raises(CapacityError, match=r"^C\(2, 1\) exceeds guard 1$"):
+        maximum_map_independence(fig1b, pool, 1, guard=1)
+    assert tables == []
+    assert maximum_map_independence(fig1b, pool, 1).subset == ("B",)
+    assert tables  # the counter sees the decider's eliminations
+
+    # An empty candidate set still has its hypothesis and evidence checked.
+    with pytest.raises(InvalidQueryError, match="^unknown variable 'Z'"):
+        relevance_partition(fig1b, {"C": "T"}, ("Z",), ())
+    with pytest.raises(InvalidQueryError, match="^unknown state 'X'"):
+        relevance_partition(fig1b, {"C": "X"}, ("A",), ())
+    assert relevance_partition(fig1b, {"C": "T"}, ("A",), ()) == independence.RelevancePartition((), (), {})
+
+
 # ---------------------------------------------------------------------------
 # quantification
 
@@ -868,8 +916,9 @@ def test_strong_and_quantify_agree_on_both_table_sources(monkeypatch):
     one_table_used = set()
 
     def recording(self, *args, **kwargs):
+        result = fold(self, *args, **kwargs)
         one_table_used.add(self._joint is not None)
-        return fold(self, *args, **kwargs)
+        return result
 
     monkeypatch.setattr(independence._SubsetFolds, "fold", recording)
     rng = random.Random(1603)

@@ -273,7 +273,7 @@ def test_factor_cache_holds_only_ancestral_cpts():
     for keep, evidence, relevant in cases:
         net = barren_network()
         joint_table(net, keep, evidence)
-        cached = inference._factor_cache[net]
+        cached = net._factors
         assert set(cached) == relevant
         for name, (scope, values) in cached.items():
             cpt = net.cpt(name)
@@ -283,7 +283,7 @@ def test_factor_cache_holds_only_ancestral_cpts():
     # ancestors of H, R and e, and nothing else.
     net = barren_network()
     strong_map_independence(net, QueryPartition(evidence={"A": "T"}, hypothesis=("C",), focus=("D",)))
-    assert set(inference._factor_cache[net]) == {"A", "B", "C", "D"}
+    assert set(net._factors) == {"A", "B", "C", "D"}
 
 
 def wide_child():
