@@ -417,8 +417,7 @@ def bench(
     # bench's checks: the partition, Pr(e) = 0 (its elimination guarded), then |Omega(H)|
     # (here a note, no rows).  A strong query checks its table's guards before Pr(e) = 0:
     # when Pr(e) = 0 and only the strong table is past the guard, it exits 4, bench 3.
-    partition = QueryPartition(evidence=dict(evidence), hypothesis=tuple(hypothesis), focus=(intermediates[0],))
-    hyp, evidence, _ = resolve_partition(net, partition)
+    hyp, evidence, _ = resolve_partition(net, QueryPartition(evidence=dict(evidence), hypothesis=tuple(hypothesis)))
     if candidate_joints(net, (), evidence, guard=guard)[0] == 0.0:
         raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
     count = assignment_count(net, hyp)

@@ -8,8 +8,8 @@ on its own; the maximum search looks for a largest subset of a candidate
 pool from which H is strongly independent.
 
 Every decider first runs ``_resolve``, the one order of checks made before
-any elimination: ``table_limit``, ``guard`` and ``tie_tol``, the partition,
-a non-empty focus.  Every decider but ``threshold`` then folds tables
+any elimination: ``table_limit``, ``guard``, the partition, a non-empty
+focus.  Every decider but ``threshold`` then folds tables
 Pr(H, S, e) from ``inference.joint_table`` for focus subsets S of one set F
 (the focus set, the candidates or the pool), through ``_SubsetFolds``, its
 one front door.  Strong and quantify fold S = F = R; weak, partition and
@@ -19,7 +19,8 @@ table is its sum over F minus S.  That holds while the table has at most
 its own elimination, so a focus set too large for one joint table is still
 answered variable by variable.
 Each column (one assignment s) yields its first maximiser and tie flag, by
-the rule ``map_solve`` also applies, its total Pr(s, e) and the entry of
+the one fixed tie rule of ``inference._column_argmax`` that ``map_solve``
+also applies, its total Pr(s, e) and the entry of
 the reference explanation h*; the columns are folded in canonical
 row-major order, and the first differing assignment is the counterexample.
 Zero-probability (s, e) combinations cannot be observed, so by default
@@ -47,13 +48,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import DEFAULT_GUARD, CapacityError, InfeasibleQueryError, InvalidQueryError, brief
-from .inference import (
-    DEFAULT_TIE_TOL,
-    _check_query_values,
-    _column_argmax,
-    joint_table,
-    marginal,
-)
+from .inference import _check_query_values, _column_argmax, joint_table, marginal
 from .model import (
     Assignment,
     Network,
@@ -169,15 +164,15 @@ def _hamming(net: Network, hypothesis: tuple[str, ...], a_idx: int, b_idx: int) 
     return distance
 
 
-def _resolve(net, partition, *, guard, tie_tol=0.0, table_limit=None, empty="focus set"):
+def _resolve(net, partition, *, guard, table_limit=None, empty="focus set"):
     """The checks every decider shares, in this order and before any work: ``table_limit``,
-    ``guard`` and ``tie_tol``, the partition (resolved into (hypothesis, evidence, focus)),
-    and a non-empty focus, named ``empty`` (``None`` lets an empty focus through)."""
+    ``guard``, the partition (resolved into (hypothesis, evidence, focus)), and a
+    non-empty focus, named ``empty`` (``None`` lets an empty focus through)."""
     if table_limit is not None and (
         not isinstance(table_limit, int) or isinstance(table_limit, bool) or table_limit < 0
     ):
         raise InvalidQueryError(f"table_limit must be None or a non-negative integer, got {reprlib.repr(table_limit)}")
-    _check_query_values(guard, tie_tol)
+    _check_query_values(guard)
     hypothesis, evidence, focus = resolve_partition(net, partition)
     if empty and not focus:
         raise InvalidQueryError(f"{empty} must be non-empty")
@@ -199,15 +194,14 @@ class _SubsetFolds:
     far, h*'s own included) are read off after the folds, or by ``report``.
     """
 
-    def __init__(self, net, partition, *, guard, tie_tol, strict_zeros, table_limit=None, empty="focus set"):
+    def __init__(self, net, partition, *, guard, strict_zeros, table_limit=None, empty="focus set"):
         self.hypothesis, self.evidence, self.focus = _resolve(
-            net, partition, guard=guard, tie_tol=tie_tol, table_limit=table_limit, empty=empty
+            net, partition, guard=guard, table_limit=table_limit, empty=empty
         )
         self.h_star: int | None = None
         self.ties = False
         self._net = net
         self._guard = guard
-        self._tie_tol = tie_tol
         self._strict_zeros = strict_zeros
         self._joint = None
 
@@ -237,9 +231,9 @@ class _SubsetFolds:
             joints = table.sum(axis=1)
             if joints.sum() == 0.0:
                 raise InfeasibleQueryError(f"evidence {brief(self.evidence)} has probability zero")
-            (self.h_star,), (self.ties,) = _column_argmax(joints.reshape(-1, 1), self._tie_tol)
+            (self.h_star,), (self.ties,) = _column_argmax(joints.reshape(-1, 1))
         h_star = self.h_star
-        argmax, ties = _column_argmax(table, self._tie_tol)
+        argmax, ties = _column_argmax(table)
         columns = zip(argmax, ties, table[h_star].tolist(), table.sum(axis=0).tolist())
 
         fold = _Fold()
@@ -297,7 +291,6 @@ def strong_map_independence(
     net: Network,
     partition: QueryPartition,
     *,
-    tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
     table_limit: int | None = None,
     strict_zeros: bool = False,
@@ -313,9 +306,7 @@ def strong_map_independence(
     Pr(e) too, but summed in another order its last digits differ, and
     ``mass`` is reported to 17 significant digits.
     """
-    source = _SubsetFolds(
-        net, partition, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros, table_limit=table_limit
-    )
+    source = _SubsetFolds(net, partition, guard=guard, strict_zeros=strict_zeros, table_limit=table_limit)
     fold = source.fold(source.focus, stop_early=not with_metrics and table_limit is None, table_limit=table_limit)
 
     metrics = None
@@ -333,7 +324,6 @@ def weak_map_independence(
     net: Network,
     partition: QueryPartition,
     *,
-    tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
     table_limit: int | None = None,
     strict_zeros: bool = False,
@@ -350,9 +340,7 @@ def weak_map_independence(
     the counterexample and, unless a table was requested, ends the loop.
     Table rows follow the focus order, up to ``table_limit`` in all.
     """
-    source = _SubsetFolds(
-        net, partition, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros, table_limit=table_limit
-    )
+    source = _SubsetFolds(net, partition, guard=guard, strict_zeros=strict_zeros, table_limit=table_limit)
     stop_early = table_limit is None
     folds: list[_Fold] = []
     for var in source.focus:
@@ -368,7 +356,6 @@ def maximum_map_independence(
     partition: QueryPartition,
     k: int,
     *,
-    tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
     strict_zeros: bool = False,
 ) -> IndependenceReport:
@@ -385,9 +372,7 @@ def maximum_map_independence(
     one table Pr(H, pool, e) while that has at most ``_JOINT_CELLS`` cells
     and fits the guard, else its own elimination.
     """
-    source = _SubsetFolds(
-        net, partition, guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros, empty="candidate pool"
-    )
+    source = _SubsetFolds(net, partition, guard=guard, strict_zeros=strict_zeros, empty="candidate pool")
     pool = source.focus
     if not isinstance(k, int) or isinstance(k, bool):
         raise InvalidQueryError("k must be an integer")
@@ -487,16 +472,11 @@ def quantify(
     net: Network,
     partition: QueryPartition,
     *,
-    tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
     strict_zeros: bool = False,
 ) -> Quantification:
     """Quantified MAP-independence of the focus set: mass, proportion, mean Hamming."""
-    report = strong_map_independence(
-        net, partition,
-        tie_tol=tie_tol, guard=guard,
-        strict_zeros=strict_zeros, with_metrics=True,
-    )
+    report = strong_map_independence(net, partition, guard=guard, strict_zeros=strict_zeros, with_metrics=True)
     return report.metrics
 
 
@@ -506,7 +486,6 @@ def relevance_partition(
     hypothesis,
     candidates,
     *,
-    tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
     strict_zeros: bool = False,
 ) -> RelevancePartition:
@@ -516,7 +495,7 @@ def relevance_partition(
     """
     source = _SubsetFolds(
         net, QueryPartition(evidence, hypothesis, candidates),
-        guard=guard, tie_tol=tie_tol, strict_zeros=strict_zeros, empty=None,
+        guard=guard, strict_zeros=strict_zeros, empty=None,
     )
     justification = {}
     for var in source.focus:

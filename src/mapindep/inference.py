@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -46,17 +45,16 @@ from .model import (
     ordered_vars,
 )
 
-DEFAULT_TIE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class MapResult:
     """Outcome of a MAP query.
 
-    ``joint_probability`` is Pr(h*, context) for the winning assignment and
-    ``posterior`` the same value normalized by the context probability.
-    ``tie`` flags another candidate within the tie tolerance of the maximum;
-    ``runner_up_gap`` is the margin to the best losing candidate.
+    ``joint_probability`` is Pr(h*, e) for the winning assignment and
+    ``posterior`` the same value normalized by Pr(e).
+    ``tie`` flags another candidate within the fixed absolute tolerance
+    ``_TIE_TOL`` (1e-9) of the maximum; ``runner_up_gap`` is the margin to
+    the best losing candidate.
     """
 
     assignment: Assignment
@@ -203,13 +201,16 @@ def joint_table(
     return _align(final_scope, final, tuple(range(n, len(cards))), cards)
 
 
-def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[bool]]:
+_TIE_TOL = 1e-9
+
+
+def _column_argmax(table: np.ndarray) -> tuple[list[int], list[bool]]:
     """The tie rule: each column's first maximising row, and whether another
-    row lies within ``tie_tol`` of that maximum (rows in canonical rank order).
+    row lies within ``_TIE_TOL`` of that maximum (rows in canonical rank order).
     """
     argmax = table.argmax(axis=0)
     columns = np.arange(table.shape[1])
-    near = table[argmax, columns] - table <= tie_tol
+    near = table[argmax, columns] - table <= _TIE_TOL
     near[argmax, columns] = False
     return argmax.tolist(), near.any(axis=0).tolist()
 
@@ -218,14 +219,10 @@ def _column_argmax(table: np.ndarray, tie_tol: float) -> tuple[list[int], list[b
 # public operations
 
 
-def _check_query_values(guard, tie_tol=0.0) -> None:
-    """Refuse a ``guard`` or ``tie_tol`` of the wrong type or value before any
-    work: ``guard`` is an int >= 0 and ``tie_tol`` a finite number >= 0, a
-    bool being neither."""
+def _check_query_values(guard) -> None:
+    """Refuse a ``guard`` that is not an int >= 0 (a bool is not) before any work."""
     if not isinstance(guard, int) or isinstance(guard, bool) or guard < 0:
         raise InvalidQueryError(f"guard must be a non-negative integer, got {reprlib.repr(guard)}")
-    if not isinstance(tie_tol, (int, float)) or isinstance(tie_tol, bool) or not 0 <= tie_tol <= sys.float_info.max:
-        raise InvalidQueryError(f"tie_tol must be a finite non-negative number, got {reprlib.repr(tie_tol)}")
 
 
 def joint_probability(net: Network, full: Mapping[str, str]) -> float:
@@ -259,6 +256,7 @@ def posterior(
     """Pr(target | evidence), each of its two marginals guarded by ``guard``.
     Zero-probability evidence is an error, not a NaN."""
     target = as_assignment(target)
+    check_assignment(net, target)
     if set(target) & set(evidence):
         raise InvalidQueryError("target and evidence must be disjoint")
     p_e = marginal(net, evidence, guard=guard)
@@ -285,45 +283,38 @@ def map_solve(
     net: Network,
     hypothesis,
     evidence: Mapping[str, str] | None = None,
-    conditioning: Mapping[str, str] | None = None,
     *,
-    tie_tol: float = DEFAULT_TIE_TOL,
     guard: int = DEFAULT_GUARD,
 ) -> MapResult:
-    """Most probable joint value assignment to ``hypothesis`` given the context.
+    """Most probable joint value assignment to ``hypothesis`` given ``evidence``.
 
-    The candidates' joints Pr(h, context) come from one table over the
-    hypothesis, in canonical row-major order; the first maximizer wins, and
-    a second candidate within ``tie_tol`` of the maximum raises the ``tie``
-    flag.  The context is the union of evidence and any extra conditioning
-    assignment; its probability is the table's total.
+    The candidates' joints Pr(h, e) come from one table over the hypothesis,
+    in canonical row-major order; the first maximizer wins, and a second
+    candidate within the fixed tolerance ``_TIE_TOL`` of the maximum raises
+    the ``tie`` flag.  Pr(e) is the table's total.  Conditioning on an
+    observed value r is just more evidence: pass ``{**e, **r}``.
     """
-    _check_query_values(guard, tie_tol)
+    _check_query_values(guard)
     evidence = as_assignment(evidence or {})
-    conditioning = as_assignment(conditioning or {})
     hyp = canonical_vars(net, hypothesis)
     if not hyp:
         raise InvalidQueryError("hypothesis set must be non-empty")
     check_assignment(net, evidence)
-    check_assignment(net, conditioning)
-    if set(evidence) & set(conditioning):
-        raise InvalidQueryError("evidence and conditioning must be disjoint")
-    context = {**evidence, **conditioning}
-    if set(hyp) & set(context):
-        raise InvalidQueryError("hypothesis overlaps the conditioning context")
+    if set(hyp) & set(evidence):
+        raise InvalidQueryError("hypothesis and evidence must be disjoint")
 
-    joints = candidate_joints(net, hyp, context, guard=guard)
-    p_context = reduce(add, joints)  # left to right: the builtin sum is compensated from Python 3.12
-    if p_context == 0.0:
-        raise InfeasibleQueryError(f"conditioning context {brief(context)} has probability zero")
+    joints = candidate_joints(net, hyp, evidence, guard=guard)
+    p_evidence = reduce(add, joints)  # left to right: the builtin sum is compensated from Python 3.12
+    if p_evidence == 0.0:
+        raise InfeasibleQueryError(f"evidence {brief(evidence)} has probability zero")
 
-    (best_idx,), (tie,) = _column_argmax(np.asarray(joints).reshape(-1, 1), tie_tol)
+    (best_idx,), (tie,) = _column_argmax(np.asarray(joints).reshape(-1, 1))
     best = joints[best_idx]
     runner_up = max(p for i, p in enumerate(joints) if i != best_idx)
     return MapResult(
         assignment=assignment_at(net, hyp, best_idx),
         joint_probability=best,
-        posterior=best / p_context,
+        posterior=best / p_evidence,
         tie=tie,
         runner_up_gap=best - runner_up,
     )

@@ -83,7 +83,7 @@ def test_criterion_3_maximum_reproduction(fig1b):
 def test_criterion_4_footnote_fixture(fn_ter):
     with criterion("4 footnote fixture"):
         for r_state in ("T", "F"):
-            assert map_solve(fn_ter, ("H",), conditioning={"R": r_state}).assignment == {"H": "h1"}
+            assert map_solve(fn_ter, ("H",), {"R": r_state}).assignment == {"H": "h1"}
         expected = {("h1", "T"): 0.28, ("h2", "T"): 0.22, ("h3", "T"): 0.0,
                     ("h1", "F"): 0.22, ("h2", "F"): 0.20, ("h3", "F"): 0.08}
         for (h, r), joint in expected.items():

@@ -481,7 +481,7 @@ def test_infeasible_evidence_on_many_variables_is_echoed_in_brief(tmp_path, caps
     ):
         assert run(argv) == EXIT_INFEASIBLE
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: evidence {") and err.count("\n") == 1
         assert " {'V0': 'F', 'V1': 'T', 'V2': 'T', 'V3': 'T', ...} has probability zero" in err
         assert len(err) <= 500
     with pytest.raises(InfeasibleQueryError) as info:

@@ -80,6 +80,10 @@ CASES = {
                                          "focus": ["R"]}, ("--table-limit", "2")),
     "strong_strict_zeros": ("gated", {"mode": "strong", "hypothesis": ["H"], "evidence": {"E": "T"},
                                       "focus": ["R"]}, ("--strict-zeros",)),
+    # fn_bin's R is uniform, so both of its values tie exactly.
+    "map_tie": ("fn_bin", {"mode": "map", "hypothesis": ["R"], "evidence": {}}, ()),
+    "strong_tie_table": ("fn_bin", {"mode": "strong", "hypothesis": ["R"], "evidence": {}, "focus": ["H"]},
+                         ("--table-limit", "2")),
 }
 
 

@@ -411,18 +411,14 @@ def test_bad_query_values_are_invalid_queries(fig1b):
         with pytest.raises(InvalidQueryError, match="^threshold s must be a number"):
             threshold(s)
     assert threshold(Fraction(1, 10)) == threshold(0.1)
-    # A guard or tie_tol of the wrong type ended in TypeError or was read as a
-    # number, and a negative or NaN tie_tol flagged no tie.
-    with_tie_tol = [
+    # A guard of the wrong type ended in TypeError or was read as a number.
+    guarded = [
         partial(strong_map_independence, fig1b, p),
         partial(weak_map_independence, fig1b, p),
         partial(maximum_map_independence, fig1b, p, 1),
         partial(quantify, fig1b, p),
         partial(relevance_partition, fig1b, {"C": "T"}, ("A",), ("B", "E")),
         partial(map_solve, fig1b, ("A",), {"C": "T"}),
-    ]
-    guarded = [
-        *with_tie_tol,
         threshold,
         partial(inference.marginal, fig1b, {"C": "T"}),
         partial(inference.posterior, fig1b, {"A": "T"}, {"C": "T"}),
@@ -432,11 +428,6 @@ def test_bad_query_values_are_invalid_queries(fig1b):
         for guard in (None, "x", True, 1.5, -1):
             with pytest.raises(InvalidQueryError, match="^guard must be a non-negative integer"):
                 call(guard=guard)
-    for call in with_tie_tol:
-        for tie_tol in ("x", None, True, -1e-9, math.nan, math.inf):
-            with pytest.raises(InvalidQueryError, match="^tie_tol must be a finite non-negative number"):
-                call(tie_tol=tie_tol)
-    assert map_solve(fig1b, ("A",), {"C": "T"}, tie_tol=0) == map_solve(fig1b, ("A",), {"C": "T"}, tie_tol=0.0)
 
 
 DECIDERS = {
@@ -478,17 +469,31 @@ def test_malformed_library_inputs_are_invalid_queries(fig1b, call):
 
 def test_public_keywords_are_the_documented_ones():
     # No keyword that does nothing: table_limit=0 is how a caller asks for the full fold.
+    # The tie rule is fixed, and an observed value is passed as evidence.
     documented = {
-        strong_map_independence: {"tie_tol", "guard", "table_limit", "strict_zeros", "with_metrics"},
-        weak_map_independence: {"tie_tol", "guard", "table_limit", "strict_zeros"},
-        maximum_map_independence: {"tie_tol", "guard", "strict_zeros"},
+        strong_map_independence: {"guard", "table_limit", "strict_zeros", "with_metrics"},
+        weak_map_independence: {"guard", "table_limit", "strict_zeros"},
+        maximum_map_independence: {"guard", "strict_zeros"},
         threshold_map_independence: {"guard", "table_limit"},
-        quantify: {"tie_tol", "guard", "strict_zeros"},
-        relevance_partition: {"tie_tol", "guard", "strict_zeros"},
+        quantify: {"guard", "strict_zeros"},
+        relevance_partition: {"guard", "strict_zeros"},
+        map_solve: {"guard"},
     }
     for decide, keywords in documented.items():
         params = inspect.signature(decide).parameters.values()
         assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == keywords, decide.__name__
+    assert list(inspect.signature(map_solve).parameters) == ["net", "hypothesis", "evidence", "guard"]
+    positional = {
+        maximum_map_independence: (FIG1B_PARTITION, 1),
+        threshold_map_independence: ({"A": "T"}, FIG1B_PARTITION, 0.1),
+        relevance_partition: ({"C": "T"}, ("A",), ("B",)),
+        map_solve: (("A",), {"C": "T"}),
+    }
+    for decide in documented:
+        with pytest.raises(TypeError, match="'tie_tol'"):
+            decide(None, *positional.get(decide, (FIG1B_PARTITION,)), tie_tol=0)
+    with pytest.raises(TypeError, match="'conditioning'"):
+        map_solve(None, ("A",), conditioning={"C": "T"})
     assert list(inspect.signature(compile_network).parameters) == ["ast"]
     for decide in (strong_map_independence, weak_map_independence):
         for keyword in ("workers", "short_circuit"):
@@ -499,7 +504,7 @@ def test_public_keywords_are_the_documented_ones():
 
 
 def test_every_decider_runs_the_shared_checks_first_and_in_one_order(fig1b, monkeypatch):
-    # table_limit, then guard and tie_tol, then the partition, then the focus, for every
+    # table_limit, then guard, then the partition, then the focus, for every
     # decider alike, and all of it before any elimination.
     unknown = QueryPartition({"C": "T"}, ("A",), ("Z",))
     with_table = [
@@ -630,9 +635,10 @@ def test_quantify_matches_brute_force_with_several_hypothesis_variables():
 
 
 def test_dyadic_networks_agree_exactly_with_the_oracles():
-    # Entries in {0, 1/4, 1/2, 3/4, 1} make every sum exact, so at tie_tol=0
-    # exact ties and skipped columns are common and the answers must equal
-    # the oracles' to the bit.
+    # Entries in {0, 1/4, 1/2, 3/4, 1} make every sum exact: distinct values
+    # differ by at least 2^-14, far above the fixed 1e-9 tie tolerance, so
+    # it flags exactly the exact ties.  Those and skipped columns are common,
+    # and the answers must equal the oracles' to the bit.
     infeasible = ties = skipped = refuted = 0
     for seed in range(300):
         rng = random.Random(f"dyadic:{seed}")
@@ -646,18 +652,18 @@ def test_dyadic_networks_agree_exactly_with_the_oracles():
         if brute_marginal(net, evidence) == 0.0:
             for decide in deciders:
                 with pytest.raises(InfeasibleQueryError):
-                    decide(net, partition, tie_tol=0)
+                    decide(net, partition)
             infeasible += 1
             continue
-        strong, weak, metrics = (decide(net, partition, tie_tol=0) for decide in deciders)
+        strong, weak, metrics = (decide(net, partition) for decide in deciders)
         h_star, records = brute_columns(net, hyp, evidence, focus)
         assert strong.witness == weak.witness == h_star
         assert (strong.verdict, strong.counterexample) == brute_strong(net, hyp, evidence, focus)
         assert (weak.verdict, weak.counterexample) == brute_weak(net, hyp, evidence, focus)
         assert (metrics.mass, metrics.proportion, metrics.mean_hamming) == brute_quantify(net, hyp, evidence, focus)
-        full = strong_map_independence(net, partition, tie_tol=0, table_limit=0)
+        full = strong_map_independence(net, partition, table_limit=0)
         assert list(full.skipped) == [r for r, total, _, _ in records if total == 0.0]
-        full_weak = weak_map_independence(net, partition, tie_tol=0, table_limit=0)
+        full_weak = weak_map_independence(net, partition, table_limit=0)
         assert list(full_weak.skipped) == [
             r for var in focus for r, total, _, _ in brute_columns(net, hyp, evidence, (var,))[1] if total == 0.0
         ]

@@ -192,7 +192,6 @@ def test_a_string_of_variable_names_is_rejected(fig1b):
 def test_evidence_given_as_a_string_is_rejected(fig1b):
     for call in (
         lambda: map_solve(fig1b, ["A"], "C"),
-        lambda: map_solve(fig1b, ["A"], {"C": "T"}, "B"),
         lambda: marginal(fig1b, "C"),
         lambda: posterior(fig1b, {"A": "T"}, "C"),
         lambda: posterior(fig1b, "A", {"C": "T"}),
@@ -339,10 +338,26 @@ def test_posterior_zero_evidence_is_an_error():
 def test_posterior_rejects_overlap(fig1b):
     with pytest.raises(InvalidQueryError):
         posterior(fig1b, {"A": "T"}, {"A": "F"})
-    with pytest.raises(InvalidQueryError, match="^evidence and conditioning must be disjoint$"):
-        map_solve(fig1b, ("A",), {"C": "T"}, {"C": "F"})
-    with pytest.raises(InvalidQueryError, match="^hypothesis overlaps the conditioning context$"):
-        map_solve(fig1b, ("A",), {"C": "T"}, {"A": "T"})
+    with pytest.raises(InvalidQueryError, match="^hypothesis and evidence must be disjoint$"):
+        map_solve(fig1b, ("A",), {"C": "T", "A": "T"})
+
+
+def test_posterior_refuses_a_bad_target_before_any_elimination(monkeypatch):
+    # An unknown target variable or state was reported only after Pr(e) had
+    # been eliminated, and on infeasible evidence as InfeasibleQueryError.
+    net = deterministic_pair()
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return joint_table(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "joint_table", counting)
+    for target in ({"Q": "T"}, {"B": "X"}):
+        for evidence in ({"A": "F"}, {"A": "T"}):
+            with pytest.raises(InvalidQueryError):
+                posterior(net, target, evidence)
+    assert built == []
 
 
 def test_normalization_over_hypothesis():
@@ -411,7 +426,7 @@ def test_map_guard_bounds_the_elimination(fig1b):
 
 def test_map_fn_ter_stable_under_conditioning(fn_ter):
     for r_state in ("T", "F"):
-        result = map_solve(fn_ter, ("H",), conditioning={"R": r_state})
+        result = map_solve(fn_ter, ("H",), {"R": r_state})
         assert result.assignment == {"H": "h1"}
 
 
@@ -477,37 +492,25 @@ def test_map_argmax_invariant_under_normalization():
         assert result.assignment == assignment_at(net, h, best)
 
 
-def test_map_tie_free_result_stable_at_zero_tolerance():
-    rng = random.Random(59)
-    checked = 0
-    for _ in range(20):
-        net = random_binary_network(rng, rng.randint(2, 8))
-        names = list(net.names)
-        rng.shuffle(names)
-        result = map_solve(net, (names[0],))
-        if not result.tie:
-            assert map_solve(net, (names[0],), tie_tol=0.0).assignment == result.assignment
-            checked += 1
-    assert checked > 10
-
-
 def test_column_argmax_matches_loop_rule():
     # The tie rule as a per-column Python loop (first maximiser, then any
     # other entry within the tolerance), kept as the reference.
-    # With tolerance 0.25, the levels 0.25 and 0.5 sit exactly on its edge.
+    # The levels 0.0 and 1e-9 differ by exactly the tolerance, so they tie;
+    # 0.5 - 2e-9 lies just outside it from 0.5, and 0.5 - 1e-10 inside.
     rng = random.Random(41)
-    levels = [0.0, 0.25, 0.5, 0.5 - 1e-10, 0.5 - 2e-9]  # exact and near ties
+    tie_tol = inference._TIE_TOL
+    levels = [0.0, 1e-9, 0.5, 0.5 - 1e-10, 0.5 - 2e-9]  # exact and near ties
     for _ in range(300):
         rows, cols = rng.randint(1, 6), rng.randint(1, 5)
-        tie_tol = rng.choice([1e-9, 0.25])
         values = [rng.choice(levels + [rng.random()]) for _ in range(rows * cols)]
         table = np.array(values).reshape(rows, cols)
-        argmax, ties = inference._column_argmax(table, tie_tol)
+        argmax, ties = inference._column_argmax(table)
         for c in range(cols):
             column = table[:, c].tolist()
             best = _first_argmax(column)
             assert argmax[c] == best
             assert ties[c] == any(i != best and column[best] - p <= tie_tol for i, p in enumerate(column))
+    assert inference._column_argmax(np.array([[0.0, 0.5 - 2e-9], [1e-9, 0.5]])) == ([1, 1], [True, False])
 
 
 def test_map_exhaustive_dominance():
